@@ -684,20 +684,33 @@ impl CohortLhAggregator {
         &self.counts
     }
 
-    /// Raw support counts (reports whose cohort hashes the item onto the
-    /// reported bucket) for each queried item. Takes a re-iterable item
-    /// sequence so the full-domain sweep can pass `0..d` without
-    /// materializing an all-items scratch `Vec`; the cohort loop stays
-    /// outermost so each `g`-wide row stays in cache.
-    fn support_counts<I>(&self, items: I, len: usize) -> Vec<u64>
+    /// True iff `other` was built with the same domain, bucket count,
+    /// cohort seeds and channel probabilities — the condition for
+    /// merging, subtracting or summing two count matrices.
+    fn same_config(&self, other: &Self) -> bool {
+        self.d == other.d
+            && self.g == other.g
+            && self.cohorts == other.cohorts
+            && self.seed_base == other.seed_base
+            && self.p == other.p
+            && self.q == other.q
+    }
+
+    /// Support counts (reports whose cohort hashes the item onto the
+    /// reported bucket) of `matrix` — this aggregator's own counts, or a
+    /// weighted fold of several — for each queried item. Takes a
+    /// re-iterable item sequence so the full-domain sweep can pass `0..d`
+    /// without materializing an all-items scratch `Vec`; the cohort loop
+    /// stays outermost so each `g`-wide row stays in cache.
+    fn support_counts<T: MatrixCell, I>(&self, matrix: &[T], items: I, len: usize) -> Vec<T>
     where
         I: Iterator<Item = u64> + Clone,
     {
         let g = self.g as usize;
-        let mut support = vec![0u64; len];
+        let mut support = vec![T::default(); len];
         for c in 0..self.cohorts {
             let seed = cohort_seed(self.seed_base, c);
-            let row = &self.counts[c as usize * g..(c as usize + 1) * g];
+            let row = &matrix[c as usize * g..(c as usize + 1) * g];
             for (s, v) in support.iter_mut().zip(items.clone()) {
                 debug_assert!(v < self.d, "item {v} outside domain {}", self.d);
                 *s += row[self.family.hash(v, seed) as usize];
@@ -706,13 +719,32 @@ impl CohortLhAggregator {
         support
     }
 
-    /// Debiases raw support counts into unbiased count estimates.
-    fn debias(&self, support: Vec<u64>) -> Vec<f64> {
-        let n = self.n as f64;
+    /// Debiases support counts over a report mass `n` into unbiased
+    /// count estimates.
+    fn debias<T: MatrixCell>(&self, support: Vec<T>, n: f64) -> Vec<f64> {
         support
             .into_iter()
-            .map(|s| (s as f64 - n * self.q) / (self.p - self.q))
+            .map(|s| (s.to_f64() - n * self.q) / (self.p - self.q))
             .collect()
+    }
+}
+
+/// A cell of a cohort count matrix: `u64` for an aggregator's own
+/// counts, `f64` for the weighted fold behind
+/// [`FoAggregator::weighted_estimate`].
+trait MatrixCell: Copy + Default + std::ops::AddAssign {
+    fn to_f64(self) -> f64;
+}
+
+impl MatrixCell for u64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl MatrixCell for f64 {
+    fn to_f64(self) -> f64 {
+        self
     }
 }
 
@@ -780,21 +812,49 @@ impl FoAggregator for CohortLhAggregator {
 
     fn estimate(&self) -> Vec<f64> {
         // Sweep the domain range directly — no all-items scratch Vec.
-        self.debias(self.support_counts(0..self.d, self.d as usize))
+        let support = self.support_counts(&self.counts, 0..self.d, self.d as usize);
+        self.debias(support, self.n as f64)
     }
 
     fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
-        self.debias(self.support_counts(items.iter().copied(), items.len()))
+        let support = self.support_counts(&self.counts, items.iter().copied(), items.len());
+        self.debias(support, self.n as f64)
+    }
+
+    /// One decode for the whole sum: the debias `(support − n·q)/(p−q)`
+    /// is affine in the count matrix, so `Σ w_i · estimate(part_i)` is
+    /// the decode of the `f64` matrix `Σ w_i · counts_i` over the report
+    /// mass `Σ w_i · n_i` — `C·d` hash evaluations instead of `W·C·d`.
+    /// With unit weights every cell is an exact integer (below 2^53), so
+    /// the result is bit-identical to [`estimate`](Self::estimate) on
+    /// the merged parts.
+    ///
+    /// # Panics
+    /// If the parts were configured incompatibly, like
+    /// [`merge`](FoAggregator::merge).
+    fn weighted_estimate(parts: &[(f64, &Self)]) -> Vec<f64> {
+        let Some(&(_, first)) = parts.first() else {
+            return Vec::new();
+        };
+        let mut matrix = vec![0.0f64; first.counts.len()];
+        let mut n = 0.0;
+        for &(weight, part) in parts {
+            assert!(
+                first.same_config(part),
+                "weighted estimate: cohort aggregator configuration mismatch"
+            );
+            for (m, &c) in matrix.iter_mut().zip(&part.counts) {
+                *m += weight * c as f64;
+            }
+            n += weight * part.n as f64;
+        }
+        let support = first.support_counts(&matrix, 0..first.d, first.d as usize);
+        first.debias(support, n)
     }
 
     fn merge(&mut self, other: Self) {
         assert!(
-            self.d == other.d
-                && self.g == other.g
-                && self.cohorts == other.cohorts
-                && self.seed_base == other.seed_base
-                && self.p == other.p
-                && self.q == other.q,
+            self.same_config(&other),
             "merge: cohort aggregator configuration mismatch"
         );
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -804,13 +864,7 @@ impl FoAggregator for CohortLhAggregator {
     }
 
     fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        if self.d != other.d
-            || self.g != other.g
-            || self.cohorts != other.cohorts
-            || self.seed_base != other.seed_base
-            || self.p != other.p
-            || self.q != other.q
-        {
+        if !self.same_config(other) {
             return Err(crate::LdpError::StateMismatch(
                 "subtract: OLH-C configuration mismatch".into(),
             ));

@@ -389,6 +389,49 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
             "this aggregator's state has no exact merge inverse".into(),
         ))
     }
+
+    /// Weighted sum of estimates, `Σ_i w_i · estimate(part_i)` over
+    /// `parts = [(w_i, part_i)]` — the recency-weighted query of a
+    /// sliding-window collector (`ldp_workloads::window::WindowRing`),
+    /// where each part is one window's delta. An empty `parts` yields an
+    /// empty vector.
+    ///
+    /// The default decodes every part and sums the scaled estimates in
+    /// part order. Aggregators whose decode is affine in their counters
+    /// may instead fold the weighted counters into one state and decode
+    /// once (OLH-C does). Such an override agrees with the default up to
+    /// float reassociation; with unit weights it matches
+    /// [`estimate`](Self::estimate) of the merged parts bit for bit while
+    /// the weighted sums stay exact integers.
+    ///
+    /// # Panics
+    /// Overrides may panic, like [`merge`](Self::merge), if the parts
+    /// were configured incompatibly.
+    #[must_use]
+    fn weighted_estimate(parts: &[(f64, &Self)]) -> Vec<f64>
+    where
+        Self: Sized,
+    {
+        let mut acc: Option<Vec<f64>> = None;
+        for &(weight, part) in parts {
+            let est = part.estimate();
+            match acc.as_mut() {
+                None => {
+                    let mut first = est;
+                    for e in &mut first {
+                        *e *= weight;
+                    }
+                    acc = Some(first);
+                }
+                Some(a) => {
+                    for (x, e) in a.iter_mut().zip(&est) {
+                        *x += weight * e;
+                    }
+                }
+            }
+        }
+        acc.unwrap_or_default()
+    }
 }
 
 /// True iff every counter in `sub` fits under its counterpart in `dst` —

@@ -980,6 +980,18 @@ pub trait ErasedAggregator: Send {
     /// incompatible or not a sub-aggregate.
     fn subtract_erased(&mut self, other: &dyn ErasedAggregator) -> Result<()>;
 
+    /// Weighted sum of the estimates of `parts`, `Σ_i w_i ·
+    /// estimate(part_i)`, through the concrete aggregator's
+    /// [`FoAggregator::weighted_estimate`]. `self` only names the
+    /// concrete type every part must have; its own state is not summed.
+    ///
+    /// # Errors
+    /// [`LdpError::Malformed`] if a part is not the same concrete
+    /// aggregator type. Same-type parts built from **equal** descriptors
+    /// always sum; the collector service enforces descriptor equality
+    /// before calling this.
+    fn weighted_estimate(&self, parts: &[(f64, &dyn ErasedAggregator)]) -> Result<Vec<f64>>;
+
     /// Appends the aggregator's versioned state BLOB (see
     /// [`crate::snapshot`]) to `out`.
     fn snapshot(&self, out: &mut Vec<u8>);
@@ -1207,6 +1219,19 @@ where
             LdpError::Malformed("subtract: erased aggregator type mismatch".into())
         })?;
         self.agg.try_subtract(&other.agg)
+    }
+
+    fn weighted_estimate(&self, parts: &[(f64, &dyn ErasedAggregator)]) -> Result<Vec<f64>> {
+        let typed = parts
+            .iter()
+            .map(|&(weight, part)| {
+                let part = part.as_any().downcast_ref::<Self>().ok_or_else(|| {
+                    LdpError::Malformed("weighted estimate: erased aggregator type mismatch".into())
+                })?;
+                Ok((weight, &part.agg))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(M::Aggregator::weighted_estimate(&typed))
     }
 
     fn snapshot(&self, out: &mut Vec<u8>) {

@@ -432,6 +432,36 @@ impl CollectorService {
         Ok(self.agg.estimate_items(items))
     }
 
+    /// Weighted sum of other services' estimates, `Σ_i w_i ·
+    /// estimates(part_i)` over `parts = [(w_i, part_i)]` — the
+    /// recency-weighted query of [`crate::window::WindowRing`]. `self`
+    /// fixes the descriptor every part must carry; its own state is not
+    /// summed. OLH-C decodes the weighted count matrix once; every other
+    /// kind decodes each part (see
+    /// [`FoAggregator::weighted_estimate`](ldp_core::fo::FoAggregator::weighted_estimate)).
+    /// An empty `parts` yields an empty vector.
+    ///
+    /// # Errors
+    /// [`LdpError::Malformed`] if a part was built from a different
+    /// descriptor.
+    pub fn weighted_estimates(&self, parts: &[(f64, &CollectorService)]) -> Result<Vec<f64>> {
+        if let Some((_, other)) = parts
+            .iter()
+            .find(|(_, part)| part.descriptor() != self.descriptor())
+        {
+            return Err(LdpError::Malformed(format!(
+                "weighted estimates: descriptor mismatch ({} vs {})",
+                self.descriptor().kind().name(),
+                other.descriptor().kind().name()
+            )));
+        }
+        let erased: Vec<(f64, &dyn ErasedAggregator)> = parts
+            .iter()
+            .map(|&(weight, part)| (weight, part.agg.as_ref()))
+            .collect();
+        self.agg.weighted_estimate(&erased)
+    }
+
     /// Serializes the full service state into one self-describing
     /// checkpoint BLOB:
     ///
@@ -752,6 +782,37 @@ mod tests {
         assert!(sa.merge(sb).is_err());
         let sa2 = CollectorService::from_descriptor(&a).unwrap();
         assert!(sa.merge(sa2).is_ok());
+    }
+
+    #[test]
+    fn weighted_estimates_refuse_foreign_parts() {
+        let sa = CollectorService::from_descriptor(&olhc_descriptor(32)).unwrap();
+        let sb = CollectorService::from_descriptor(&olhc_descriptor(64)).unwrap();
+        let oue = ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)
+            .domain_size(32)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        let so = CollectorService::from_descriptor(&oue).unwrap();
+
+        // Another descriptor, at the service: a typed error, no panic.
+        assert!(matches!(
+            sa.weighted_estimates(&[(1.0, &sa), (0.5, &sb)]),
+            Err(LdpError::Malformed(_))
+        ));
+        // Another concrete aggregator type, at the erased layer.
+        for (own, foreign) in [(&sa, &so), (&so, &sa)] {
+            assert!(matches!(
+                own.agg.weighted_estimate(&[(1.0, foreign.agg.as_ref())]),
+                Err(LdpError::Malformed(_))
+            ));
+        }
+        // No parts: an empty answer, on the OLH-C override and the
+        // default path alike.
+        for s in [&sa, &so] {
+            assert_eq!(s.weighted_estimates(&[]).unwrap(), Vec::<f64>::new());
+            assert_eq!(s.agg.weighted_estimate(&[]).unwrap(), Vec::<f64>::new());
+        }
     }
 
     #[test]

@@ -28,7 +28,12 @@
 //! * **Optional exponential decay.** With a decay factor `λ`,
 //!   [`WindowRing::decayed_estimates`] weights window `w`'s estimate by
 //!   `λ^age(w)` — recency weighting without touching the unweighted
-//!   total.
+//!   total. For OLH-C the query costs one decode: the debias is affine
+//!   in the count matrix, so the `W` live matrices fold into one
+//!   `λ`-weighted matrix (agreeing with the per-window sum up to float
+//!   reassociation, and bit-identical to the total's estimate at
+//!   `λ = 1`). Every other kind decodes each of the `W` windows and
+//!   sums the weighted estimates, bit-identical to doing so by hand.
 //! * **Durability.** The whole ring — configuration, every live delta,
 //!   the total, the stats — checkpoints to one versioned BLOB
 //!   (`state_tag::WINDOW_RING`) embedding the service layer's own
@@ -395,11 +400,19 @@ impl WindowRing {
     }
 
     /// Recency-weighted estimates: `Σ_w λ^age(w) · estimate(delta_w)`
-    /// over the live windows, newest window age 0. The unweighted
+    /// over the live windows, newest window age 0, through
+    /// [`CollectorService::weighted_estimates`]. The unweighted
     /// sliding-window estimate stays available via
-    /// [`estimates`](Self::estimates); with `λ = 1` the two agree up to
-    /// float reassociation (per-window debias sums versus one debiased
-    /// total).
+    /// [`estimates`](Self::estimates).
+    ///
+    /// Cost and exactness depend on the kind. OLH-C folds the `W` live
+    /// count matrices into one `λ`-weighted matrix and decodes it once;
+    /// the result agrees with the per-window sum up to float
+    /// reassociation, and with `λ = 1` it is bit-identical to
+    /// [`estimates`](Self::estimates). Every other kind decodes each of
+    /// the `W` windows and sums the weighted estimates in window order,
+    /// bit-identical to doing so by hand. A ring with no live windows
+    /// answers with the (empty) running total's estimates.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] if the ring was configured without
@@ -408,31 +421,15 @@ impl WindowRing {
         let lambda = self.config.decay.ok_or_else(|| {
             LdpError::InvalidParameter("ring was configured without a decay factor".into())
         })?;
-        let newest = match self.newest_bucket() {
-            Some(b) => b,
-            None => return Ok(self.total.estimates()),
+        let Some(newest) = self.newest_bucket() else {
+            return Ok(self.total.estimates());
         };
-        let mut acc: Option<Vec<f64>> = None;
-        for (bucket, window) in &self.live {
-            let age = (newest - bucket) as i32;
-            let weight = lambda.powi(age);
-            let est = window.estimates();
-            match acc.as_mut() {
-                None => {
-                    let mut first = est;
-                    for e in &mut first {
-                        *e *= weight;
-                    }
-                    acc = Some(first);
-                }
-                Some(a) => {
-                    for (x, e) in a.iter_mut().zip(&est) {
-                        *x += weight * e;
-                    }
-                }
-            }
-        }
-        Ok(acc.unwrap_or_else(|| self.total.estimates()))
+        let parts: Vec<(f64, &CollectorService)> = self
+            .live
+            .iter()
+            .map(|(bucket, window)| (lambda.powi((newest - bucket) as i32), window))
+            .collect();
+        self.total.weighted_estimates(&parts)
     }
 
     /// Serializes the whole ring — config, stats, every live delta, the
@@ -1038,6 +1035,8 @@ mod tests {
         let client = WireClient::from_descriptor(&desc).unwrap();
         let mut rng = StdRng::seed_from_u64(31);
         let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 4).with_decay(0.5)).unwrap();
+        // No live windows yet: the (empty) running total answers.
+        assert_eq!(ring.decayed_estimates().unwrap(), ring.estimates());
 
         // Item 0 heavy in an old window, item 1 heavy in the newest.
         let mut s = Vec::new();
