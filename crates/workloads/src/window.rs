@@ -44,10 +44,13 @@
 //! loss under repeated collection composes sequentially, so a device
 //! reporting every window spends `ε_window` per window. Deployed systems
 //! meter that spend against a per-*period* allowance; the accountant
-//! keeps one [`PrivacyBudget`] per device, draws on each charged window,
-//! and **releases** charges whose window has aged out of the accounting
-//! horizon — the budget-side mirror of the ring's subtractive
-//! retirement.
+//! keeps one ledger per device — its newest charged bucket, a count of
+//! charged windows, and a `horizon`-bit ring marking which buckets are
+//! charged (a 24-byte map entry plus `8·⌈horizon/64⌉` bytes of bitset,
+//! the horizon capped at [`MAX_ACCOUNTING_HORIZON`]) — admits a window
+//! while the count stays under what the allowance affords, and **releases**
+//! charges whose window has aged out of the accounting horizon — the
+//! budget-side mirror of the ring's subtractive retirement.
 //!
 //! # Example
 //! ```
@@ -80,12 +83,13 @@
 //! assert_eq!(ring.stats().retired_subtract, 24);
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use ldp_core::protocol::ProtocolDescriptor;
 use ldp_core::snapshot::{state_tag, SNAPSHOT_VERSION};
 use ldp_core::wire::{put_f64_le, put_u64_le, put_uvarint, WireReader};
-use ldp_core::{Epsilon, LdpError, PrivacyBudget, Result};
+use ldp_core::{Epsilon, LdpError, Result};
 
 use crate::service::{CollectorService, IngestError};
 
@@ -195,7 +199,9 @@ impl WindowRing {
         Ok(Self {
             desc: descriptor.clone(),
             config,
-            live: VecDeque::with_capacity(config.windows + 1),
+            // Grown on demand: `windows` is caller-chosen and may be
+            // far larger than the windows ever opened.
+            live: VecDeque::new(),
             total: CollectorService::from_descriptor(descriptor)?,
             stats: WindowStats::default(),
         })
@@ -537,7 +543,15 @@ impl WindowRing {
                 "ring checkpoint carries {live_count} live windows but a horizon of {windows}"
             )));
         }
-        let mut live = VecDeque::with_capacity(windows + 1);
+        // Every window takes at least 9 bytes (bucket and blob length),
+        // so a forged count cannot size the deque past the payload.
+        if live_count > pr.remaining() / 9 {
+            return Err(LdpError::Malformed(format!(
+                "ring checkpoint claims {live_count} live windows in {} bytes",
+                pr.remaining()
+            )));
+        }
+        let mut live = VecDeque::with_capacity(live_count);
         let mut live_reports = 0usize;
         for i in 0..live_count {
             let bucket = pr.u64_le()?;
@@ -711,24 +725,52 @@ fn count_frames(stream: &[u8]) -> u64 {
     frames
 }
 
+/// Largest accounting horizon [`LongitudinalAccountant::new`] accepts,
+/// in windows: at most 512 bytes of charged-bucket bitset per device.
+pub const MAX_ACCOUNTING_HORIZON: usize = 4096;
+
 /// Per-device longitudinal privacy accounting over a rolling window
-/// horizon: one [`PrivacyBudget`] per device, charged `ε_window` per
-/// contributed window, with charges **released** once their window ages
-/// out of the horizon — the accounting mirror of the ring's subtractive
-/// retirement. See the [module docs](self).
+/// horizon: each device is charged `ε_window` per contributed window, at
+/// most `allowance` within any `horizon` consecutive windows, with
+/// charges **released** once their window ages out of the horizon — the
+/// accounting mirror of the ring's subtractive retirement. See the
+/// [module docs](self).
+///
+/// Every charge costs the same `per_window`, so a device's spend is its
+/// number of charged windows times `per_window`, and the budget check is
+/// the integer comparison `count < cap`, where `cap` is the most windows
+/// the allowance affords (within [`ldp_core::PrivacyBudget::draw`]'s 1e-9
+/// tolerance). A device's ledger is its newest charged bucket (the
+/// horizon anchor), that count, and a `horizon`-bit ring of charged
+/// buckets (bit `bucket % horizon`) in one flat arena: a 24-byte map
+/// entry (id and ledger) plus `8·⌈horizon/64⌉` bytes of bitset per
+/// device, behind one hash probe.
+/// Device ids may come from clients, so the map keeps std's keyed
+/// hasher.
 #[derive(Debug, Clone)]
 pub struct LongitudinalAccountant {
     per_window: Epsilon,
-    horizon: u64,
     allowance: Epsilon,
-    devices: BTreeMap<u64, DeviceLedger>,
+    horizon: u64,
+    /// Charged windows a device may hold inside one horizon.
+    cap: u32,
+    /// Bitset words per device: `horizon.div_ceil(64)`.
+    words: usize,
+    devices: HashMap<u64, DeviceLedger>,
+    /// Every device's bitset, `words` words each, at `slot · words`.
+    /// Bit `b % horizon` is set iff bucket `b` is charged inside
+    /// `[newest − horizon + 1, newest]`.
+    bits: Vec<u64>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct DeviceLedger {
-    budget: PrivacyBudget,
-    /// Buckets this device has been charged for, oldest first.
-    charged: VecDeque<u64>,
+    /// Newest bucket this device has been charged for.
+    newest: u64,
+    /// Charged buckets inside the horizon (the set bits).
+    count: u32,
+    /// Index of this device's bitset in the arena.
+    slot: u32,
 }
 
 impl LongitudinalAccountant {
@@ -737,24 +779,43 @@ impl LongitudinalAccountant {
     /// contributed window" for every device.
     ///
     /// # Errors
-    /// [`LdpError::InvalidParameter`] if `horizon` is zero or a single
-    /// window's charge already exceeds the allowance.
+    /// [`LdpError::InvalidParameter`] if `horizon` is zero or above
+    /// [`MAX_ACCOUNTING_HORIZON`], or a single window's charge already
+    /// exceeds the allowance.
     pub fn new(allowance: Epsilon, per_window: Epsilon, horizon: usize) -> Result<Self> {
         if horizon == 0 {
             return Err(LdpError::InvalidParameter(
                 "accounting horizon must cover at least one window".into(),
             ));
         }
-        if per_window.value() > allowance.value() + 1e-9 {
+        if horizon > MAX_ACCOUNTING_HORIZON {
+            return Err(LdpError::InvalidParameter(format!(
+                "accounting horizon {horizon} exceeds the limit of {MAX_ACCOUNTING_HORIZON} windows"
+            )));
+        }
+        let limit = allowance.value() + 1e-9;
+        let step = per_window.value();
+        if step > limit {
             return Err(LdpError::InvalidParameter(format!(
                 "per-window charge {per_window} exceeds the allowance {allowance}"
             )));
         }
+        // The most windows `k` with `k · per_window ≤ allowance + 1e-9`:
+        // the float quotient lands within one of it.
+        let mut k = (limit / step).floor();
+        if k * step > limit {
+            k -= 1.0;
+        } else if (k + 1.0) * step <= limit {
+            k += 1.0;
+        }
         Ok(Self {
             per_window,
-            horizon: horizon as u64,
             allowance,
-            devices: BTreeMap::new(),
+            horizon: horizon as u64,
+            cap: k.min(horizon as f64) as u32,
+            words: horizon.div_ceil(64),
+            devices: HashMap::new(),
+            bits: Vec::new(),
         })
     }
 
@@ -773,53 +834,71 @@ impl LongitudinalAccountant {
     /// # Errors
     /// [`LdpError::BudgetExhausted`] when the device's rolling spend
     /// cannot absorb another window — the caller should skip (not
-    /// collect) this device for this window. No charge is recorded
-    /// (charges that had already scrolled out of the horizon are still
-    /// released), and a never-charged device gains no ledger.
+    /// collect) this device for this window. No charge is recorded and
+    /// the anchor stays put (charges that had already scrolled out of
+    /// the horizon are still released), and a never-charged device gains
+    /// no ledger. [`LdpError::InvalidParameter`] once 2³² devices hold a
+    /// ledger.
     pub fn try_charge(&mut self, device: u64, bucket: u64) -> Result<()> {
-        if !self.devices.contains_key(&device) {
-            // First charge: `new` guarantees one window's charge fits a
-            // fresh allowance, and drawing before inserting means a
-            // failed draw can never invent a zero-charge device.
-            let mut budget = PrivacyBudget::new(self.allowance);
-            budget.draw(self.per_window.value())?;
-            self.devices.insert(
-                device,
-                DeviceLedger {
-                    budget,
-                    charged: VecDeque::from([bucket]),
-                },
-            );
+        let (horizon, words) = (self.horizon, self.words);
+        let pos = bucket % horizon;
+        let ledger = match self.devices.entry(device) {
+            Entry::Vacant(vacant) => {
+                // First charge: `new` guarantees one window fits a fresh
+                // allowance (`cap ≥ 1`), so this charge always succeeds.
+                let slot = u32::try_from(self.bits.len() / words).map_err(|_| {
+                    LdpError::InvalidParameter("accountant holds 2^32 devices".into())
+                })?;
+                self.bits.resize(self.bits.len() + words, 0);
+                let start = self.bits.len() - words;
+                set_bit(&mut self.bits[start..], pos);
+                vacant.insert(DeviceLedger {
+                    newest: bucket,
+                    count: 1,
+                    slot,
+                });
+                return Ok(());
+            }
+            Entry::Occupied(occupied) => occupied.into_mut(),
+        };
+        let start = ledger.slot as usize * words;
+        let bits = &mut self.bits[start..start + words];
+        if bucket > ledger.newest {
+            // Anchoring at `bucket` scrolls out buckets
+            // `newest − horizon + 1 ..= bucket − horizon`, whose bits are
+            // exactly the positions of `newest + 1 ..= bucket`.
+            let gap = bucket - ledger.newest;
+            if gap >= horizon {
+                bits.fill(0);
+                ledger.count = 0;
+            } else {
+                let from = (ledger.newest + 1) % horizon;
+                let first = gap.min(horizon - from);
+                ledger.count -= clear_span(bits, from, from + first);
+                ledger.count -= clear_span(bits, 0, gap - first);
+            }
+        } else if ledger.newest - bucket >= horizon || test_bit(bits, pos) {
             return Ok(());
         }
-        let ledger = self.devices.get_mut(&device).expect("device has a ledger");
-        if ledger.charged.contains(&bucket) {
-            return Ok(());
+        if ledger.count >= self.cap {
+            let spent = f64::from(ledger.count) * self.per_window.value();
+            return Err(LdpError::BudgetExhausted {
+                requested: self.per_window.value(),
+                remaining: (self.allowance.value() - spent).max(0.0),
+            });
         }
-        let newest = ledger.charged.back().map_or(bucket, |&b| b.max(bucket));
-        let oldest_in_horizon = newest.saturating_sub(self.horizon - 1);
-        while matches!(ledger.charged.front(), Some(&b) if b < oldest_in_horizon) {
-            ledger.charged.pop_front();
-            ledger
-                .budget
-                .release(self.per_window.value())
-                .expect("released charge was drawn");
-        }
-        if bucket < oldest_in_horizon {
-            return Ok(());
-        }
-        ledger.budget.draw(self.per_window.value())?;
-        // Keep `charged` sorted so horizon releases pop oldest-first
-        // even when in-horizon charges arrived out of order.
-        let pos = ledger.charged.partition_point(|&b| b < bucket);
-        ledger.charged.insert(pos, bucket);
+        set_bit(bits, pos);
+        ledger.count += 1;
+        ledger.newest = ledger.newest.max(bucket);
         Ok(())
     }
 
     /// ε the device is currently spending inside its rolling horizon
     /// (0 for devices never charged).
     pub fn spent(&self, device: u64) -> f64 {
-        self.devices.get(&device).map_or(0.0, |l| l.budget.spent())
+        self.devices
+            .get(&device)
+            .map_or(0.0, |l| f64::from(l.count) * self.per_window.value())
     }
 
     /// Devices with at least one charge on record.
@@ -836,6 +915,30 @@ impl LongitudinalAccountant {
     pub fn per_window(&self) -> Epsilon {
         self.per_window
     }
+}
+
+fn test_bit(bits: &[u64], pos: u64) -> bool {
+    bits[(pos / 64) as usize] >> (pos % 64) & 1 == 1
+}
+
+fn set_bit(bits: &mut [u64], pos: u64) {
+    bits[(pos / 64) as usize] |= 1 << (pos % 64);
+}
+
+/// Clears bits `lo..hi` a word at a time and returns how many were set.
+fn clear_span(bits: &mut [u64], lo: u64, hi: u64) -> u32 {
+    let mut cleared = 0;
+    let mut pos = lo;
+    while pos < hi {
+        let word = (pos / 64) as usize;
+        let first = pos % 64;
+        let end = (hi - word as u64 * 64).min(64);
+        let mask = (u64::MAX >> (64 - (end - first))) << first;
+        cleared += (bits[word] & mask).count_ones();
+        bits[word] &= !mask;
+        pos = word as u64 * 64 + end;
+    }
+    cleared
 }
 
 #[cfg(test)]
@@ -1172,6 +1275,28 @@ mod tests {
         acct.try_charge(1, 13).unwrap();
         assert!((acct.spent(1) - 1.0).abs() < 1e-12);
         assert_eq!(acct.devices(), 1);
+    }
+
+    #[test]
+    fn accountant_refuses_horizons_past_the_limit() {
+        let new = |horizon| {
+            LongitudinalAccountant::new(
+                Epsilon::new(8.0).unwrap(),
+                Epsilon::new(1.0).unwrap(),
+                horizon,
+            )
+        };
+        let mut acct = new(MAX_ACCOUNTING_HORIZON).unwrap();
+        acct.try_charge(1, 0).unwrap();
+        acct.try_charge(1, MAX_ACCOUNTING_HORIZON as u64 - 1)
+            .unwrap();
+        assert!((acct.spent(1) - 2.0).abs() < 1e-12);
+        for horizon in [MAX_ACCOUNTING_HORIZON + 1, 1 << 40] {
+            assert!(
+                matches!(new(horizon), Err(LdpError::InvalidParameter(_))),
+                "horizon {horizon}"
+            );
+        }
     }
 
     #[test]

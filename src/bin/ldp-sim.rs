@@ -36,7 +36,10 @@
 //! into its window and the running total, expired windows retire by
 //! exact subtraction, per-device ε spend is metered by a rolling
 //! [`LongitudinalAccountant`], and the whole ring checkpoint/restores
-//! at the end. `--users` sets total trace frames (default 500k).
+//! at the end. The run fails if the accountant throttled nobody, or if
+//! a recount of each device's admitted buckets finds more than the cap
+//! in any 24-hour span. `--users` sets total trace frames (default
+//! 500k).
 
 use ldp::core::fo::{
     collect_counts, BinaryLocalHashing, DirectEncoding, FrequencyOracle, HadamardResponse,
@@ -437,6 +440,8 @@ fn run_windows(args: &Args) -> Result<(), String> {
     const HOURS: usize = DAYS * 24;
     const WINDOW_LEN: u64 = 3600;
     const HORIZON: usize = 24;
+    /// Windows' worth of ε a device may spend inside one horizon.
+    const CAP_WINDOWS: usize = 8;
 
     let total_frames = args.users.unwrap_or(500_000);
     // Diurnal burst profile: overnight lull, daytime baseline, a 4×
@@ -469,10 +474,14 @@ fn run_windows(args: &Args) -> Result<(), String> {
     // more than that — the accountant must throttle the tail of each
     // day once budgets run dry.
     let per_window = Epsilon::new(args.eps).map_err(|e| format!("eps: {e}"))?;
-    let allowance = Epsilon::new(args.eps * 8.0).map_err(|e| format!("allowance: {e}"))?;
+    let allowance =
+        Epsilon::new(args.eps * CAP_WINDOWS as f64).map_err(|e| format!("allowance: {e}"))?;
     let mut accountant = LongitudinalAccountant::new(allowance, per_window, HORIZON)
         .map_err(|e| format!("accountant: {e}"))?;
     let device_pool = (total_frames / 27).max(32);
+    // Independent recount of the accountant's decisions: each device's
+    // admitted buckets, in order, checked against the cap at the end.
+    let mut admitted: Vec<Vec<u64>> = vec![Vec::new(); device_pool];
 
     let zipf = ZipfGenerator::new(args.domain, args.zipf).map_err(|e| format!("zipf: {e}"))?;
     let mut rng = StdRng::seed_from_u64(args.seed);
@@ -484,7 +493,7 @@ fn run_windows(args: &Args) -> Result<(), String> {
 
     println!(
         "windows | OLH-C | ε={} | d={} | {DAYS} days × hourly buckets | horizon {HORIZON} h | \
-         ~{total_frames} frames | {device_pool} devices | per-device cap 8ε/24h",
+         ~{total_frames} frames | {device_pool} devices | per-device cap {CAP_WINDOWS}ε/{HORIZON}h",
         args.eps, args.domain
     );
     let start = std::time::Instant::now();
@@ -501,6 +510,10 @@ fn run_windows(args: &Args) -> Result<(), String> {
             next_device = (next_device + 1) % device_pool;
             if accountant.try_charge(device, bucket).is_ok() {
                 values.push(zipf.sample(&mut rng));
+                let buckets = &mut admitted[device as usize];
+                if buckets.last() != Some(&bucket) {
+                    buckets.push(bucket);
+                }
             } else {
                 throttled += 1;
             }
@@ -562,6 +575,30 @@ fn run_windows(args: &Args) -> Result<(), String> {
         }
     }
     let elapsed = start.elapsed();
+
+    // The accountant must have throttled (the pool is sized to want more
+    // than the cap), and no device may hold more than the cap's worth of
+    // admitted buckets in any HORIZON-bucket span.
+    if throttled == 0 {
+        return Err("the accountant throttled no device".into());
+    }
+    for (device, buckets) in admitted.iter().enumerate() {
+        for (i, &first) in buckets.iter().enumerate() {
+            let in_span = buckets[i..]
+                .iter()
+                .take_while(|&&b| b < first + HORIZON as u64)
+                .count();
+            if in_span > CAP_WINDOWS {
+                return Err(format!(
+                    "device {device} was admitted {in_span} buckets in the {HORIZON} from bucket {first}"
+                ));
+            }
+        }
+    }
+    println!(
+        "recount: {throttled} charges throttled | no device admitted more than \
+         {CAP_WINDOWS} of any {HORIZON} consecutive buckets"
+    );
 
     let truth = hour_truth
         .iter()
