@@ -9,15 +9,15 @@
 //!
 //! [`register_mechanisms`] plugs [`CmsOracle`] and [`HcmsOracle`]
 //! factories into a [`Registry`], making both buildable from a
-//! [`ProtocolDescriptor`] (`sketch(k, m)` + `hash_seed` + `domain_size`
-//! + `epsilon`).
+//! [`ProtocolDescriptor`](ldp_core::protocol::ProtocolDescriptor)
+//! (`sketch(k, m)` + `hash_seed` + `domain_size` + `epsilon`).
 
 use crate::cms::{CmsOracle, CmsReport};
 use crate::hcms::{HcmsOracle, HcmsReport};
-use ldp_core::protocol::{MechanismKind, ProtocolDescriptor, Registry};
+use ldp_core::protocol::{MechanismKind, Registry};
 use ldp_core::wire::{
     get_packed_bits, get_sign, packed_bit, put_packed_bits, put_sign, put_uvarint, tag,
-    ErasedBridge, ErasedMechanism, OracleMechanism, WireReader, WireReport,
+    OracleMechanism, WireReader, WireReport,
 };
 use ldp_core::{LdpError, Result};
 
@@ -76,33 +76,23 @@ impl WireReport for HcmsReport {
 /// server share, `domain_size` → the enumerable query domain.
 pub fn register_mechanisms(registry: &mut Registry) {
     registry.register(MechanismKind::AppleCms, |d| {
-        build_cms(d).map(|mech| Box::new(mech) as Box<dyn ErasedMechanism>)
+        Ok(OracleMechanism(CmsOracle::new(
+            d.sketch_rows() as usize,
+            d.sketch_width() as usize,
+            d.epsilon_checked(),
+            d.hash_seed(),
+            d.domain_size(),
+        )))
     });
     registry.register(MechanismKind::AppleHcms, |d| {
-        build_hcms(d).map(|mech| Box::new(mech) as Box<dyn ErasedMechanism>)
+        Ok(OracleMechanism(HcmsOracle::new(
+            d.sketch_rows() as usize,
+            d.sketch_width() as usize,
+            d.epsilon_checked(),
+            d.hash_seed(),
+            d.domain_size(),
+        )))
     });
-}
-
-fn build_cms(d: &ProtocolDescriptor) -> Result<ErasedBridge<OracleMechanism<CmsOracle>>> {
-    let oracle = CmsOracle::new(
-        d.sketch_rows() as usize,
-        d.sketch_width() as usize,
-        d.epsilon_checked(),
-        d.hash_seed(),
-        d.domain_size(),
-    );
-    Ok(ErasedBridge::new(OracleMechanism(oracle), d.clone()))
-}
-
-fn build_hcms(d: &ProtocolDescriptor) -> Result<ErasedBridge<OracleMechanism<HcmsOracle>>> {
-    let oracle = HcmsOracle::new(
-        d.sketch_rows() as usize,
-        d.sketch_width() as usize,
-        d.epsilon_checked(),
-        d.hash_seed(),
-        d.domain_size(),
-    );
-    Ok(ErasedBridge::new(OracleMechanism(oracle), d.clone()))
 }
 
 #[cfg(test)]

@@ -27,8 +27,9 @@
 //! The descriptor-kind column is the runtime face: build a
 //! [`crate::protocol::ProtocolDescriptor`] with that kind and any
 //! workspace registry (`ldp_workloads::service::workspace_registry`)
-//! instantiates the mechanism behind the erased wire API
-//! ([`crate::wire::ErasedMechanism`]), so a collector service ingests
+//! instantiates the mechanism behind the erased wire API (the client's
+//! [`crate::wire::ErasedMechanism`] and the server's
+//! [`crate::wire::ErasedCollector`]), so a collector service ingests
 //! its serialized reports without compile-time knowledge of the type.
 //!
 //! The randomization-cost column counts uniform RNG draws per report on

@@ -30,9 +30,11 @@
 //!   builder-side validation, and a [`Registry`] that instantiates any
 //!   registered mechanism from a descriptor at runtime.
 //! * [`wire`] — the compact binary report format every mechanism's
-//!   reports encode to, and the object-safe [`wire::ErasedMechanism`]
-//!   bridge that lets one collector service ingest `&[u8]` frames for
-//!   any mechanism behind dynamic dispatch.
+//!   reports encode to, and its two object-safe faces: the client's
+//!   [`wire::ErasedMechanism`] (typed inputs in, frames out) and the
+//!   server's [`wire::ErasedCollector`] (descriptor and aggregator in
+//!   one object), which let one collector service ingest `&[u8]` frames
+//!   for any mechanism behind dynamic dispatch.
 //!
 //! ## The model
 //!

@@ -16,9 +16,12 @@
 //!   workspace ([`LdpError`] replaces the `assert!`s of the typed
 //!   constructors) — and serialized with
 //!   [`ProtocolDescriptor::to_bytes`] / [`from_bytes`](ProtocolDescriptor::from_bytes).
-//! * [`Registry`] — maps kinds to factories producing type-erased
-//!   mechanisms ([`ErasedMechanism`]). [`Registry::core`] registers
-//!   every `ldp-core` oracle; `ldp_apple::register_mechanisms` and
+//! * [`Registry`] — maps kinds to factories of typed mechanisms, each
+//!   boxed on registration behind the erased client face
+//!   ([`ErasedMechanism`]), whose `new_collector` makes the matching
+//!   server face ([`crate::wire::ErasedCollector`]).
+//!   [`Registry::core`] registers every `ldp-core` oracle;
+//!   `ldp_apple::register_mechanisms` and
 //!   `ldp_microsoft::register_mechanisms` add the industrial
 //!   deployments, and `ldp_workloads::service::workspace_registry`
 //!   assembles the whole workspace.
@@ -41,8 +44,8 @@ use crate::fo::{
     SymmetricUnaryEncoding, ThresholdHistogramEncoding,
 };
 use crate::wire::{
-    put_f64_le, put_u64_le, put_uvarint, ErasedBridge, ErasedMechanism, FusedUnaryMechanism,
-    OracleMechanism, WireReader,
+    erase, put_f64_le, put_u64_le, put_uvarint, ErasedMechanism, FusedUnaryMechanism,
+    OracleMechanism, ReportOf, WireInput, WireMechanism, WireReader, WireReport,
 };
 use crate::{Epsilon, LdpError, Result};
 use std::collections::BTreeMap;
@@ -506,8 +509,9 @@ impl ProtocolDescriptorBuilder {
     }
 }
 
-/// A factory producing a type-erased mechanism from a validated
-/// descriptor.
+/// A registered factory: builds the typed mechanism a validated
+/// descriptor describes and boxes it behind [`ErasedMechanism`] (see
+/// [`Registry::register`]).
 pub type MechanismFactory =
     Box<dyn Fn(&ProtocolDescriptor) -> Result<Box<dyn ErasedMechanism>> + Send + Sync>;
 
@@ -546,103 +550,90 @@ impl Registry {
     pub fn core() -> Self {
         let mut r = Self::empty();
         r.register(MechanismKind::DirectEncoding, |d| {
-            erase(
-                OracleMechanism(DirectEncoding::new(d.domain_size(), d.epsilon_checked())?),
-                d,
-            )
+            Ok(OracleMechanism(DirectEncoding::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )?))
         });
         // The unary family rides `FusedUnaryMechanism`, whose
         // `try_randomize_frames` samples set bits straight into the
         // outgoing frame buffer (byte-identical to the materializing
         // path for a given seed).
         r.register(MechanismKind::SymmetricUnary, |d| {
-            erase(
-                FusedUnaryMechanism(SymmetricUnaryEncoding::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )?),
-                d,
-            )
+            Ok(FusedUnaryMechanism(SymmetricUnaryEncoding::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )?))
         });
         r.register(MechanismKind::OptimizedUnary, |d| {
-            erase(
-                FusedUnaryMechanism(OptimizedUnaryEncoding::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )?),
-                d,
-            )
+            Ok(FusedUnaryMechanism(OptimizedUnaryEncoding::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )?))
         });
         r.register(MechanismKind::SummationHistogram, |d| {
-            erase(
-                OracleMechanism(SummationHistogramEncoding::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )?),
-                d,
-            )
+            Ok(OracleMechanism(SummationHistogramEncoding::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )?))
         });
         r.register(MechanismKind::ThresholdHistogram, |d| {
-            erase(
-                FusedUnaryMechanism(ThresholdHistogramEncoding::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )?),
-                d,
-            )
+            Ok(FusedUnaryMechanism(ThresholdHistogramEncoding::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )?))
         });
         r.register(MechanismKind::BinaryLocalHashing, |d| {
             refuse_linear_memory(d)?;
-            erase(
-                OracleMechanism(BinaryLocalHashing::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )),
-                d,
-            )
+            Ok(OracleMechanism(BinaryLocalHashing::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )))
         });
         r.register(MechanismKind::OptimizedLocalHashing, |d| {
             refuse_linear_memory(d)?;
-            erase(
-                OracleMechanism(OptimizedLocalHashing::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )),
-                d,
-            )
+            Ok(OracleMechanism(OptimizedLocalHashing::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )))
         });
         r.register(MechanismKind::CohortLocalHashing, |d| {
-            erase(
-                OracleMechanism(CohortLocalHashing::optimized_with_seed(
-                    d.domain_size(),
-                    d.cohorts(),
-                    d.hash_seed(),
-                    d.epsilon_checked(),
-                )),
-                d,
-            )
+            Ok(OracleMechanism(CohortLocalHashing::optimized_with_seed(
+                d.domain_size(),
+                d.cohorts(),
+                d.hash_seed(),
+                d.epsilon_checked(),
+            )))
         });
         r.register(MechanismKind::HadamardResponse, |d| {
-            erase(
-                OracleMechanism(HadamardResponse::new(d.domain_size(), d.epsilon_checked())),
-                d,
-            )
+            Ok(OracleMechanism(HadamardResponse::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )))
         });
         r.register(MechanismKind::SubsetSelection, |d| {
-            erase(
-                OracleMechanism(SubsetSelection::new(d.domain_size(), d.epsilon_checked())),
-                d,
-            )
+            Ok(OracleMechanism(SubsetSelection::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )))
         });
         r
     }
 
-    /// Registers (or replaces) the factory for `kind`.
-    pub fn register<F>(&mut self, kind: MechanismKind, factory: F)
+    /// Registers (or replaces) the factory for `kind`. `factory` builds
+    /// the typed mechanism a descriptor describes; the registry boxes it
+    /// behind the erased client ([`ErasedMechanism`]) and server
+    /// ([`crate::wire::ErasedCollector`]) faces.
+    pub fn register<M, F>(&mut self, kind: MechanismKind, factory: F)
     where
-        F: Fn(&ProtocolDescriptor) -> Result<Box<dyn ErasedMechanism>> + Send + Sync + 'static,
+        F: Fn(&ProtocolDescriptor) -> Result<M> + Send + Sync + 'static,
+        M: WireMechanism + Send + Sync + 'static,
+        M::Input: WireInput,
+        M::Aggregator: Send + 'static,
+        ReportOf<M>: WireReport,
     {
-        self.factories.insert(kind.code(), Box::new(factory));
+        self.factories
+            .insert(kind.code(), Box::new(move |d| Ok(erase(factory(d)?, d))));
     }
 
     /// Whether a factory for `kind` is registered.
@@ -680,17 +671,6 @@ impl Registry {
             })?;
         factory(descriptor)
     }
-}
-
-/// Boxes a bridged mechanism (shared shorthand for the factories).
-fn erase<M>(mech: M, descriptor: &ProtocolDescriptor) -> Result<Box<dyn ErasedMechanism>>
-where
-    M: crate::wire::WireMechanism + Send + Sync + 'static,
-    M::Input: crate::wire::WireInput,
-    M::Aggregator: Send + 'static,
-    crate::wire::ReportOf<M>: crate::wire::WireReport,
-{
-    Ok(Box::new(ErasedBridge::new(mech, descriptor.clone())))
 }
 
 /// The steering guard for raw local hashing: its aggregator keeps all

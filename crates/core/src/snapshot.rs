@@ -89,9 +89,9 @@ pub mod state_tag {
 /// The durable-state capability: an aggregator that can serialize its
 /// full state to a versioned BLOB and restore it, panic-free.
 ///
-/// Object-safe, so the erased service layer
-/// (`crate::wire::ErasedAggregator`) can forward it without knowing the
-/// concrete aggregator type. Implementations serialize configuration
+/// Object-safe; the erased service layer
+/// ([`crate::wire::ErasedCollector`]) forwards it for whatever
+/// aggregator a collector holds. Implementations serialize configuration
 /// fields before counters and must make [`restore_payload`] all-or-
 /// nothing: parse into temporaries, validate, and only then commit, so a
 /// failed restore leaves the aggregator exactly as it was.

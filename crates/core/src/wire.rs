@@ -19,18 +19,23 @@
 //!   Decoding is **panic-free**: malformed, truncated, or wrong-version
 //!   bytes come back as [`LdpError`], never as a panic or an
 //!   out-of-bounds index.
-//! * **[`ErasedMechanism`] / [`ErasedAggregator`]** — the object-safe
-//!   face of [`BatchMechanism`]: randomize-from-bytes on the client,
-//!   accumulate-from-bytes, merge, and estimate on the server, all
-//!   behind `dyn` so one collector service can host any mechanism a
-//!   [`crate::protocol::Registry`] instantiates at runtime. The
-//!   [`ErasedBridge`] blanket implementation adapts any
-//!   [`WireMechanism`] (a [`BatchMechanism`] whose reports and inputs
-//!   have wire codecs), so dynamic dispatch reuses the same aggregators,
-//!   merge paths, and estimate code the fused generic engine drives —
-//!   the byte path is bit-identical to the generic path for a given RNG
-//!   seed (enforced by `tests/service_dispatch.rs` at the workspace
-//!   root).
+//! * **[`ErasedMechanism`]** — the object-safe *client* face of a
+//!   [`BatchMechanism`]: typed item or real inputs in, report frames
+//!   out ([`WireInput`] views an input batch as the mechanism's own
+//!   input type, so a wrong-typed input is refused, never
+//!   reinterpreted).
+//! * **[`ErasedCollector`]** — the object-safe *server* face: one object
+//!   owning the descriptor and the typed aggregator, which ingests frame
+//!   streams, merges, subtracts, snapshots, and estimates, all behind
+//!   `dyn` so one collector service can host any mechanism a
+//!   [`crate::protocol::Registry`] instantiates at runtime.
+//!
+//! The registry boxes every [`WireMechanism`] (a [`BatchMechanism`]
+//! whose reports have wire codecs) behind both faces through one private
+//! bridge, so dynamic dispatch reuses the same samplers, aggregators,
+//! merge paths, and estimate code the fused generic engine drives — the
+//! byte path is bit-identical to the generic path for a given RNG seed
+//! (enforced by `tests/service_dispatch.rs` at the workspace root).
 //!
 //! The scalar-vs-batch bit-identity contract of
 //! [`crate::fo::FrequencyOracle`] is what makes this work: a client that
@@ -267,7 +272,7 @@ pub trait WireReport: Sized {
 
     /// Parses the payload from `r` **into** an existing report, reusing
     /// its storage where the type allows — the decode loop of a concat
-    /// stream ([`ErasedMechanism::accumulate_concat`]) calls this once
+    /// stream ([`ErasedCollector::ingest_concat`]) calls this once
     /// per frame with one scratch report, so fixed-width report types
     /// ([`BitVec`], `Vec<f64>`) allocate nothing per frame.
     ///
@@ -620,19 +625,17 @@ impl WireReport for HrReport {
 }
 
 // ---------------------------------------------------------------------
-// Input codec.
+// Input types.
 // ---------------------------------------------------------------------
 
-/// A client input type that can cross the erased API as bytes: the
-/// input-side counterpart of [`WireReport`]. Items travel as varints,
-/// bounded reals as 8-byte little-endian `f64`.
+/// A client input type of the erased API: `u64` items or bounded `f64`
+/// reals. The erased client takes inputs typed
+/// ([`ErasedMechanism::randomize_item`] / [`ErasedMechanism::randomize_real`]
+/// and their batch forms) and asks the mechanism's input type to *view*
+/// them as its own. A view is never a re-encoding: a mechanism of the
+/// other input type refuses the call instead of reading an item's bits
+/// as a real, or a real's as an item.
 pub trait WireInput: Sized {
-    /// Appends the encoded input to `out`.
-    fn encode_input(&self, out: &mut Vec<u8>);
-
-    /// Parses one input from exactly `bytes`.
-    fn decode_input(bytes: &[u8]) -> Result<Self>;
-
     /// Views an item batch as a batch of this input type, when the two
     /// coincide (`u64` only) — what lets the erased batch path hand a
     /// `&[u64]` population straight to an item mechanism without
@@ -645,17 +648,6 @@ pub trait WireInput: Sized {
 }
 
 impl WireInput for u64 {
-    fn encode_input(&self, out: &mut Vec<u8>) {
-        put_uvarint(out, *self);
-    }
-
-    fn decode_input(bytes: &[u8]) -> Result<Self> {
-        let mut r = WireReader::new(bytes);
-        let v = r.uvarint()?;
-        r.finish()?;
-        Ok(v)
-    }
-
     fn items_as_inputs(items: &[u64]) -> Option<&[Self]> {
         Some(items)
     }
@@ -666,17 +658,6 @@ impl WireInput for u64 {
 }
 
 impl WireInput for f64 {
-    fn encode_input(&self, out: &mut Vec<u8>) {
-        put_f64_le(out, *self);
-    }
-
-    fn decode_input(bytes: &[u8]) -> Result<Self> {
-        let mut r = WireReader::new(bytes);
-        let v = r.f64_le()?;
-        r.finish()?;
-        Ok(v)
-    }
-
     fn items_as_inputs(_items: &[u64]) -> Option<&[Self]> {
         None
     }
@@ -763,6 +744,17 @@ pub trait WireMechanism: BatchMechanism {
     }
 }
 
+/// Refuses the first item outside `0..d` — the one domain check of the
+/// oracle adapters, run before any RNG is consumed.
+fn check_domain(inputs: &[u64], d: u64) -> Result<()> {
+    match inputs.iter().find(|&&v| v >= d) {
+        Some(&bad) => Err(LdpError::InvalidParameter(format!(
+            "input {bad} outside domain of size {d}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Owns a [`FrequencyOracle`] and exposes it as a
 /// [`BatchMechanism`] + [`WireMechanism`] — the by-value counterpart of
 /// the `&O` blanket impl in [`crate::mech`], so an oracle can live
@@ -785,12 +777,7 @@ impl<O: FrequencyOracle> BatchMechanism for OracleMechanism<O> {
 
 impl<O: FrequencyOracle> WireMechanism for OracleMechanism<O> {
     fn try_randomize_input(&self, input: &u64, rng: &mut dyn RngCore) -> Result<O::Report> {
-        if *input >= self.0.domain_size() {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {input} outside domain of size {}",
-                self.0.domain_size()
-            )));
-        }
+        check_domain(std::slice::from_ref(input), self.0.domain_size())?;
         Ok(self.0.randomize(*input, rng))
     }
 
@@ -806,12 +793,7 @@ impl<O: FrequencyOracle> WireMechanism for OracleMechanism<O> {
         rng: &mut R,
         sink: impl FnMut(&O::Report),
     ) -> Result<()> {
-        let d = self.0.domain_size();
-        if let Some(&bad) = inputs.iter().find(|&&v| v >= d) {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {bad} outside domain of size {d}"
-            )));
-        }
+        check_domain(inputs, self.0.domain_size())?;
         self.0.randomize_batch_ref(inputs, rng, sink);
         Ok(())
     }
@@ -848,28 +830,9 @@ impl<O: SetBitSampler> BatchMechanism for FusedUnaryMechanism<O> {
     }
 }
 
-impl<O: SetBitSampler> FusedUnaryMechanism<O> {
-    /// Returns the first out-of-domain input as an error, without
-    /// consuming any RNG — both batch paths validate up front.
-    fn check_domain(&self, inputs: &[u64]) -> Result<()> {
-        let d = self.0.domain_size();
-        if let Some(&bad) = inputs.iter().find(|&&v| v >= d) {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {bad} outside domain of size {d}"
-            )));
-        }
-        Ok(())
-    }
-}
-
 impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
     fn try_randomize_input(&self, input: &u64, rng: &mut dyn RngCore) -> Result<BitVec> {
-        if *input >= self.0.domain_size() {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {input} outside domain of size {}",
-                self.0.domain_size()
-            )));
-        }
+        check_domain(std::slice::from_ref(input), self.0.domain_size())?;
         Ok(self.0.randomize(*input, rng))
     }
 
@@ -879,7 +842,7 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         rng: &mut R,
         sink: impl FnMut(&BitVec),
     ) -> Result<()> {
-        self.check_domain(inputs)?;
+        check_domain(inputs, self.0.domain_size())?;
         self.0.randomize_batch_ref(inputs, rng, sink);
         Ok(())
     }
@@ -890,7 +853,7 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         rng: &mut R,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        self.check_domain(inputs)?;
+        check_domain(inputs, self.0.domain_size())?;
         let d = self.0.domain_size() as usize;
         let nbytes = d.div_ceil(8);
         // Every frame of the batch shares this prefix: the payload is
@@ -934,113 +897,30 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
     }
 }
 
-/// The object-safe server-side state behind a collector: a mechanism's
-/// aggregator with its concrete types erased. Obtained from
-/// [`ErasedMechanism::new_erased_aggregator`]; frames are folded in
-/// through [`ErasedMechanism::accumulate_from_bytes`] (the mechanism
-/// carries the codec and validation, the aggregator carries the state).
-pub trait ErasedAggregator: Send {
-    /// Number of reports accumulated so far.
-    fn reports(&self) -> usize;
-
-    /// Unbiased estimates over the mechanism's output domain (counts for
-    /// frequency oracles, `[mean]` for mean mechanisms).
-    #[must_use]
-    fn estimate(&self) -> Vec<f64>;
-
-    /// Estimates for a subset of items.
-    ///
-    /// # Panics
-    /// Like [`FoAggregator::estimate_items`], panics if an item is
-    /// outside the mechanism's domain — callers validate first (the
-    /// collector service checks against its descriptor).
-    #[must_use]
-    fn estimate_items(&self, items: &[u64]) -> Vec<f64>;
-
-    /// Merges another erased aggregator into this one, as if its reports
-    /// had been accumulated here.
-    ///
-    /// # Errors
-    /// [`LdpError::Malformed`] if `other` is not the same concrete
-    /// aggregator type. Same-type aggregators built from **equal**
-    /// descriptors always merge; the collector service enforces
-    /// descriptor equality before calling this.
-    fn merge_erased(&mut self, other: Box<dyn ErasedAggregator>) -> Result<()>;
-
-    /// Subtracts another erased aggregator's state from this one — the
-    /// exact inverse of [`merge_erased`](Self::merge_erased), borrowed
-    /// rather than consumed so the retired delta survives a refusal.
-    /// See [`crate::fo::FoAggregator::try_subtract`] for the contract
-    /// (bit-identity for count-based states, all-or-nothing on error).
-    ///
-    /// # Errors
-    /// [`LdpError::Malformed`] if `other` is not the same concrete
-    /// aggregator type; [`LdpError::NotSubtractive`] if the state has no
-    /// exact merge inverse; [`LdpError::StateMismatch`] if `other` is
-    /// incompatible or not a sub-aggregate.
-    fn subtract_erased(&mut self, other: &dyn ErasedAggregator) -> Result<()>;
-
-    /// Weighted sum of the estimates of `parts`, `Σ_i w_i ·
-    /// estimate(part_i)`, through the concrete aggregator's
-    /// [`FoAggregator::weighted_estimate`]. `self` only names the
-    /// concrete type every part must have; its own state is not summed.
-    ///
-    /// # Errors
-    /// [`LdpError::Malformed`] if a part is not the same concrete
-    /// aggregator type. Same-type parts built from **equal** descriptors
-    /// always sum; the collector service enforces descriptor equality
-    /// before calling this.
-    fn weighted_estimate(&self, parts: &[(f64, &dyn ErasedAggregator)]) -> Result<Vec<f64>>;
-
-    /// Appends the aggregator's versioned state BLOB (see
-    /// [`crate::snapshot`]) to `out`.
-    fn snapshot(&self, out: &mut Vec<u8>);
-
-    /// Restores state from a BLOB previously written by
-    /// [`snapshot`](Self::snapshot) on an identically configured
-    /// aggregator, replacing the current counters wholesale.
-    ///
-    /// # Errors
-    /// Any [`LdpError`] for foreign versions or tags, truncation,
-    /// corruption, or a snapshot taken under different configuration —
-    /// never a panic. On error the aggregator is left unchanged.
-    fn restore(&mut self, bytes: &[u8]) -> Result<()>;
-
-    /// Borrows the concrete aggregator for downcasting.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutably borrows the concrete aggregator for downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-
-    /// Unwraps to the concrete aggregator for downcasting by value.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// The object-safe face of a mechanism: everything a collector service
-/// needs behind `dyn` — randomize-from-bytes on the client side,
-/// accumulate-from-bytes on the server side, plus aggregator creation.
-/// Built from a [`crate::protocol::ProtocolDescriptor`] through a
+/// The object-safe client face of a mechanism: privatizes typed inputs
+/// into wire frames, and creates the matching server-side
+/// [`ErasedCollector`]. Built from a [`ProtocolDescriptor`] through a
 /// [`crate::protocol::Registry`].
 pub trait ErasedMechanism: Send + Sync {
     /// The descriptor this instance was built from.
     fn descriptor(&self) -> &ProtocolDescriptor;
 
-    /// The frame tag of this mechanism's report type.
-    fn report_tag(&self) -> u8;
-
-    /// Client side: decodes one wire-encoded input (a varint item or an
-    /// 8-byte little-endian real — see [`WireInput`]), privatizes it,
-    /// and appends the report's wire frame to `out`.
+    /// Privatizes one item input (`value ∈ [0, d)`) and appends its
+    /// report's wire frame to `out`.
     ///
     /// # Errors
-    /// Any [`LdpError`] for undecodable or out-of-domain inputs — never
-    /// a panic.
-    fn randomize_from_bytes(
-        &self,
-        input: &[u8],
-        rng: &mut dyn RngCore,
-        out: &mut Vec<u8>,
-    ) -> Result<()>;
+    /// [`LdpError::InvalidParameter`] for an out-of-domain item or a
+    /// mechanism that takes real-valued inputs (1BitMean); `out` is
+    /// untouched on error.
+    fn randomize_item(&self, value: u64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()>;
+
+    /// Privatizes one real-valued input (1BitMean) and appends its
+    /// report's wire frame to `out`.
+    ///
+    /// # Errors
+    /// [`LdpError::InvalidParameter`] for an out-of-range value or a
+    /// mechanism that takes item inputs; `out` is untouched on error.
+    fn randomize_real(&self, value: f64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()>;
 
     /// Client batch side: privatizes a whole item population into wire
     /// frames appended to `out`, drawing from a **monomorphized**
@@ -1059,9 +939,8 @@ pub trait ErasedMechanism: Send + Sync {
         -> Result<()>;
 
     /// Client batch side for real-valued mechanisms (1BitMean); the
-    /// monomorphized counterpart of feeding each value through
-    /// [`Self::randomize_from_bytes`]. Same seed semantics as
-    /// [`Self::randomize_items_to_frames`].
+    /// monomorphized counterpart of [`Self::randomize_real`]. Same seed
+    /// semantics as [`Self::randomize_items_to_frames`].
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] for out-of-range values or a
@@ -1069,189 +948,192 @@ pub trait ErasedMechanism: Send + Sync {
     fn randomize_reals_to_frames(&self, values: &[f64], seed: u64, out: &mut Vec<u8>)
         -> Result<()>;
 
-    /// Creates an empty erased aggregator for this mechanism.
+    /// Creates an empty server-side collector for this mechanism.
     #[must_use]
-    fn new_erased_aggregator(&self) -> Box<dyn ErasedAggregator>;
+    fn new_collector(&self) -> Box<dyn ErasedCollector>;
+}
 
-    /// Server side: decodes one report frame, validates it against this
-    /// mechanism's configuration, and folds it into `agg`.
+/// The object-safe server face of a mechanism: the descriptor and the
+/// typed aggregator it configures, owned by one object. Frames go in as
+/// bytes, estimates come out, and collectors built from **equal**
+/// descriptors merge, subtract, and sum weighted estimates — the
+/// descriptor is the compatibility gate, checked before any state is
+/// touched. Obtained from [`ErasedMechanism::new_collector`].
+pub trait ErasedCollector: Send {
+    /// The descriptor this collector was built from.
+    fn descriptor(&self) -> &ProtocolDescriptor;
+
+    /// Folds a concatenated frame stream into the state, returning how
+    /// many frames were ingested alongside the outcome. On error the
+    /// count names the frames **already folded in** (the stream stops at
+    /// the first bad frame; the state keeps the frames before it), so
+    /// callers can account for partial batches.
+    ///
+    /// Every frame decodes into one reused scratch report
+    /// ([`WireReport::decode_payload_into`]) — zero per-frame allocation
+    /// for fixed-width report types — and bit-vector streams ride a
+    /// packed lane that hands the raw payloads of several frames at a
+    /// time to [`FoAggregator::try_accumulate_packed_bits_batch`].
     ///
     /// # Errors
-    /// Any [`LdpError`] for malformed/truncated frames, foreign
-    /// versions or tags, reports that don't fit the mechanism's shape,
-    /// or an `agg` that belongs to a different mechanism — never a
-    /// panic.
-    fn accumulate_from_bytes(&self, agg: &mut dyn ErasedAggregator, frame: &[u8]) -> Result<()> {
-        let mut pos = 0usize;
-        let f = next_frame(frame, &mut pos)?;
-        if pos != frame.len() {
-            return Err(LdpError::Malformed(format!(
-                "{} trailing bytes after frame",
-                frame.len() - pos
-            )));
-        }
-        self.accumulate_frame(agg, f)
-    }
-
-    /// Server side for batched transports: folds one already-split
-    /// [`Frame`] into `agg`, so a stream iterator (`next_frame`) parses
-    /// each header exactly once.
-    ///
-    /// # Errors
-    /// As [`Self::accumulate_from_bytes`], minus the header errors
-    /// `next_frame` already caught.
-    fn accumulate_frame(&self, agg: &mut dyn ErasedAggregator, frame: Frame<'_>) -> Result<()>;
-
-    /// Server fast path: folds a whole concatenated frame stream into
-    /// `agg`, returning how many frames were ingested alongside the
-    /// outcome. On error the returned count names the frames **already
-    /// folded in** (the stream stops at the first bad frame; `agg`
-    /// keeps them), so callers can account for partial batches.
-    ///
-    /// The default loops [`Self::accumulate_frame`]; the bridge
-    /// overrides it to pay the aggregator downcast **once per stream**
-    /// instead of once per frame and to decode every frame into one
-    /// scratch report ([`WireReport::decode_payload_into`]) — zero
-    /// per-frame allocation for fixed-width report types.
-    ///
-    /// # Errors
-    /// As [`Self::accumulate_from_bytes`], carried next to the count of
+    /// Any [`LdpError`] for malformed or truncated frames, foreign
+    /// versions or tags, or reports that don't fit the mechanism's
+    /// configuration — never a panic — carried next to the count of
     /// frames that preceded the failure.
-    fn accumulate_concat(
-        &self,
-        agg: &mut dyn ErasedAggregator,
-        stream: &[u8],
-    ) -> (usize, Result<()>) {
-        let mut pos = 0usize;
-        let mut n = 0usize;
-        while pos < stream.len() {
-            let frame = match next_frame(stream, &mut pos) {
-                Ok(f) => f,
-                Err(e) => return (n, Err(e)),
-            };
-            if let Err(e) = self.accumulate_frame(agg, frame) {
-                return (n, Err(e));
-            }
-            n += 1;
-        }
-        (n, Ok(()))
-    }
+    fn ingest_concat(&mut self, stream: &[u8]) -> (usize, Result<()>);
+
+    /// Number of reports accumulated so far.
+    fn reports(&self) -> usize;
+
+    /// Unbiased estimates over the mechanism's output domain (counts for
+    /// frequency oracles, `[mean]` for mean mechanisms).
+    #[must_use]
+    fn estimate(&self) -> Vec<f64>;
+
+    /// Estimates for a subset of items.
+    ///
+    /// # Panics
+    /// Like [`FoAggregator::estimate_items`], panics if an item is
+    /// outside the mechanism's domain — callers validate first (the
+    /// collector service checks against its descriptor).
+    #[must_use]
+    fn estimate_items(&self, items: &[u64]) -> Vec<f64>;
+
+    /// Merges another collector into this one, as if its frames had
+    /// been ingested here.
+    ///
+    /// # Errors
+    /// [`LdpError::Malformed`] if `other` was built from a different
+    /// descriptor, or — under an equal descriptor — holds another
+    /// concrete aggregator type (two registries that map one kind to
+    /// different mechanisms). The state is unchanged on error.
+    fn merge(&mut self, other: Box<dyn ErasedCollector>) -> Result<()>;
+
+    /// Subtracts another collector's state from this one — the exact
+    /// inverse of [`merge`](Self::merge), borrowed rather than consumed
+    /// so the retired delta survives a refusal. See
+    /// [`FoAggregator::try_subtract`] for the contract (bit-identity for
+    /// count-based states, all-or-nothing on error).
+    ///
+    /// # Errors
+    /// [`LdpError::Malformed`] as for [`merge`](Self::merge);
+    /// [`LdpError::NotSubtractive`] if the state has no exact merge
+    /// inverse; [`LdpError::StateMismatch`] if `other` is not a
+    /// sub-aggregate.
+    fn subtract(&mut self, other: &dyn ErasedCollector) -> Result<()>;
+
+    /// Weighted sum of the estimates of `parts`, `Σ_i w_i ·
+    /// estimate(part_i)`, through the concrete aggregator's
+    /// [`FoAggregator::weighted_estimate`]. `self` only names the
+    /// descriptor and type every part must have; its own state is not
+    /// summed. An empty `parts` yields an empty vector.
+    ///
+    /// # Errors
+    /// [`LdpError::Malformed`] if a part fails the checks of
+    /// [`merge`](Self::merge).
+    fn weighted_estimate(&self, parts: &[(f64, &dyn ErasedCollector)]) -> Result<Vec<f64>>;
+
+    /// Appends the aggregator's versioned state BLOB (see
+    /// [`crate::snapshot`]) to `out`.
+    fn snapshot(&self, out: &mut Vec<u8>);
+
+    /// Restores state from a BLOB previously written by
+    /// [`snapshot`](Self::snapshot) on an identically configured
+    /// collector, replacing the current counters wholesale.
+    ///
+    /// # Errors
+    /// Any [`LdpError`] for foreign versions or tags, truncation,
+    /// corruption, or a snapshot taken under different configuration —
+    /// never a panic. On error the state is left unchanged.
+    fn restore(&mut self, bytes: &[u8]) -> Result<()>;
+
+    /// Borrows the concrete collector for downcasting.
+    fn as_any(&self) -> &dyn Any;
+
+    /// Unwraps to the concrete collector for downcasting by value.
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl std::fmt::Debug for dyn ErasedMechanism + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ErasedMechanism")
             .field("kind", &self.descriptor().kind())
-            .field("report_tag", &self.report_tag())
             .finish()
     }
 }
 
-impl std::fmt::Debug for dyn ErasedAggregator + '_ {
+impl std::fmt::Debug for dyn ErasedCollector + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ErasedAggregator")
+        f.debug_struct("ErasedCollector")
+            .field("kind", &self.descriptor().kind())
             .field("reports", &self.reports())
             .finish()
     }
 }
 
-/// The blanket bridge from the generic engine to the erased API: wraps
-/// any [`WireMechanism`] whose input and report types have wire codecs,
-/// together with the descriptor it was built from.
+/// Boxes `mech`, built from `descriptor`, behind the erased client API —
+/// what [`crate::protocol::Registry::register`] wraps every factory's
+/// mechanism in.
 ///
-/// Dynamic dispatch through this bridge reuses the mechanism's own
-/// aggregator, merge, and estimate code — the same paths the fused
-/// generic engine (`accumulate_mech_sharded`) drives — so the byte path
-/// and the generic path produce bit-identical state for the same RNG
-/// streams.
-pub struct ErasedBridge<M: WireMechanism> {
+/// Dynamic dispatch through the bridge reuses the mechanism's own
+/// samplers, aggregator, merge, and estimate code — the same paths the
+/// fused generic engine (`accumulate_mech_sharded`) drives — so the byte
+/// path and the generic path produce bit-identical state for the same
+/// RNG streams.
+pub(crate) fn erase<M>(mech: M, descriptor: &ProtocolDescriptor) -> Box<dyn ErasedMechanism>
+where
+    M: WireMechanism + Send + Sync + 'static,
+    M::Input: WireInput,
+    M::Aggregator: Send + 'static,
+    ReportOf<M>: WireReport,
+{
+    Box::new(ErasedBridge {
+        mech,
+        descriptor: descriptor.clone(),
+    })
+}
+
+/// The concrete client behind `Box<dyn ErasedMechanism>`: a typed
+/// mechanism with the descriptor it was built from.
+struct ErasedBridge<M> {
     mech: M,
     descriptor: ProtocolDescriptor,
 }
 
-impl<M: WireMechanism> ErasedBridge<M> {
-    /// Wraps `mech` with the descriptor it was instantiated from.
-    pub fn new(mech: M, descriptor: ProtocolDescriptor) -> Self {
-        Self { mech, descriptor }
-    }
-
-    /// The wrapped mechanism.
-    pub fn mechanism(&self) -> &M {
-        &self.mech
-    }
-}
-
-/// The concrete aggregator behind `Box<dyn ErasedAggregator>` for a
-/// bridged mechanism `M` (private: reached only through downcasts inside
-/// the bridge).
-struct BridgedAggregator<M: BatchMechanism> {
-    agg: M::Aggregator,
-}
-
-impl<M> ErasedAggregator for BridgedAggregator<M>
+impl<M> ErasedBridge<M>
 where
-    M: BatchMechanism + 'static,
-    M::Aggregator: Send + 'static,
+    M: WireMechanism,
+    M::Input: WireInput,
+    ReportOf<M>: WireReport,
 {
-    fn reports(&self) -> usize {
-        self.agg.reports()
+    /// `values` as this mechanism's inputs, or a refusal if it takes reals.
+    fn items<'a>(&self, values: &'a [u64]) -> Result<&'a [M::Input]> {
+        M::Input::items_as_inputs(values).ok_or_else(|| self.refuse("item"))
     }
 
-    fn estimate(&self) -> Vec<f64> {
-        self.agg.estimate()
+    /// `values` as this mechanism's inputs, or a refusal if it takes items.
+    fn reals<'a>(&self, values: &'a [f64]) -> Result<&'a [M::Input]> {
+        M::Input::reals_as_inputs(values).ok_or_else(|| self.refuse("real-valued"))
     }
 
-    fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
-        self.agg.estimate_items(items)
+    fn refuse(&self, what: &str) -> LdpError {
+        LdpError::InvalidParameter(format!(
+            "{} does not take {what} inputs",
+            self.descriptor.kind().name()
+        ))
     }
 
-    fn merge_erased(&mut self, other: Box<dyn ErasedAggregator>) -> Result<()> {
-        let other = other
-            .into_any()
-            .downcast::<Self>()
-            .map_err(|_| LdpError::Malformed("merge: erased aggregator type mismatch".into()))?;
-        self.agg.merge(other.agg);
+    /// One input through the scalar path, framed into `out`.
+    fn frame_one(&self, input: &M::Input, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()> {
+        encode_report(&self.mech.try_randomize_input(input, rng)?, out);
         Ok(())
     }
 
-    fn subtract_erased(&mut self, other: &dyn ErasedAggregator) -> Result<()> {
-        let other = other.as_any().downcast_ref::<Self>().ok_or_else(|| {
-            LdpError::Malformed("subtract: erased aggregator type mismatch".into())
-        })?;
-        self.agg.try_subtract(&other.agg)
-    }
-
-    fn weighted_estimate(&self, parts: &[(f64, &dyn ErasedAggregator)]) -> Result<Vec<f64>> {
-        let typed = parts
-            .iter()
-            .map(|&(weight, part)| {
-                let part = part.as_any().downcast_ref::<Self>().ok_or_else(|| {
-                    LdpError::Malformed("weighted estimate: erased aggregator type mismatch".into())
-                })?;
-                Ok((weight, &part.agg))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(M::Aggregator::weighted_estimate(&typed))
-    }
-
-    fn snapshot(&self, out: &mut Vec<u8>) {
-        crate::snapshot::snapshot_to(&self.agg, out);
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<()> {
-        crate::snapshot::restore_from(&mut self.agg, bytes)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+    /// A batch through the monomorphized batch path, on the RNG stream
+    /// `StdRng::seed_from_u64(seed)`.
+    fn frame_batch(&self, inputs: &[M::Input], seed: u64, out: &mut Vec<u8>) -> Result<()> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        self.mech.try_randomize_frames(inputs, &mut rng, out)
     }
 }
 
@@ -1266,20 +1148,12 @@ where
         &self.descriptor
     }
 
-    fn report_tag(&self) -> u8 {
-        <ReportOf<M> as WireReport>::TAG
+    fn randomize_item(&self, value: u64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()> {
+        self.frame_one(&self.items(std::slice::from_ref(&value))?[0], rng, out)
     }
 
-    fn randomize_from_bytes(
-        &self,
-        input: &[u8],
-        rng: &mut dyn RngCore,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let input = M::Input::decode_input(input)?;
-        let report = self.mech.try_randomize_input(&input, rng)?;
-        encode_report(&report, out);
-        Ok(())
+    fn randomize_real(&self, value: f64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()> {
+        self.frame_one(&self.reals(std::slice::from_ref(&value))?[0], rng, out)
     }
 
     fn randomize_items_to_frames(
@@ -1288,14 +1162,7 @@ where
         seed: u64,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let inputs = M::Input::items_as_inputs(values).ok_or_else(|| {
-            LdpError::InvalidParameter(format!(
-                "{} does not take item inputs",
-                self.descriptor.kind().name()
-            ))
-        })?;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.mech.try_randomize_frames(inputs, &mut rng, out)
+        self.frame_batch(self.items(values)?, seed, out)
     }
 
     fn randomize_reals_to_frames(
@@ -1304,54 +1171,68 @@ where
         seed: u64,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let inputs = M::Input::reals_as_inputs(values).ok_or_else(|| {
-            LdpError::InvalidParameter(format!(
-                "{} does not take real-valued inputs",
-                self.descriptor.kind().name()
-            ))
-        })?;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.mech.try_randomize_frames(inputs, &mut rng, out)
+        self.frame_batch(self.reals(values)?, seed, out)
     }
 
-    fn new_erased_aggregator(&self) -> Box<dyn ErasedAggregator> {
-        Box::new(BridgedAggregator::<M> {
+    fn new_collector(&self) -> Box<dyn ErasedCollector> {
+        Box::new(Collector {
+            descriptor: self.descriptor.clone(),
             agg: self.mech.new_aggregator(),
         })
     }
+}
 
-    fn accumulate_frame(&self, agg: &mut dyn ErasedAggregator, frame: Frame<'_>) -> Result<()> {
-        let report = decode_report_payload::<ReportOf<M>>(frame)?;
-        let slot = agg
-            .as_any_mut()
-            .downcast_mut::<BridgedAggregator<M>>()
-            .ok_or_else(|| {
-                LdpError::Malformed("accumulate: erased aggregator type mismatch".into())
-            })?;
-        slot.agg.try_accumulate(&report)
+/// The concrete state behind `Box<dyn ErasedCollector>`: a descriptor
+/// and the typed aggregator it configures. Other collectors reach it
+/// only through the downcasts of `merge`, `subtract`, and
+/// `weighted_estimate`, each behind the descriptor check.
+struct Collector<A> {
+    descriptor: ProtocolDescriptor,
+    agg: A,
+}
+
+impl<A: FoAggregator + Send + 'static> Collector<A> {
+    /// Refuses `other` unless it was built from this collector's
+    /// descriptor.
+    fn check_descriptor(&self, other: &dyn ErasedCollector, op: &str) -> Result<()> {
+        if other.descriptor() == &self.descriptor {
+            return Ok(());
+        }
+        Err(LdpError::Malformed(format!(
+            "{op}: descriptor mismatch ({} vs {})",
+            self.descriptor.kind().name(),
+            other.descriptor().kind().name()
+        )))
     }
 
-    /// One downcast per stream, one scratch report reused across every
-    /// frame — the payload→counter fast path the per-frame
-    /// [`accumulate_frame`](ErasedMechanism::accumulate_frame) loop
-    /// cannot reach.
-    fn accumulate_concat(
-        &self,
-        agg: &mut dyn ErasedAggregator,
-        stream: &[u8],
-    ) -> (usize, Result<()>) {
-        let Some(slot) = agg.as_any_mut().downcast_mut::<BridgedAggregator<M>>() else {
-            return (
-                0,
-                Err(LdpError::Malformed(
-                    "accumulate: erased aggregator type mismatch".into(),
-                )),
-            );
-        };
-        let expected = <ReportOf<M> as WireReport>::TAG;
-        let mut pos = 0usize;
-        let mut n = 0usize;
-        let mut scratch: Option<ReportOf<M>> = None;
+    /// `other` as this collector's concrete type, behind the descriptor
+    /// check.
+    fn typed<'a>(&self, other: &'a dyn ErasedCollector, op: &str) -> Result<&'a Self> {
+        self.check_descriptor(other, op)?;
+        other
+            .as_any()
+            .downcast_ref::<Self>()
+            .ok_or_else(|| type_mismatch(op))
+    }
+}
+
+fn type_mismatch(op: &str) -> LdpError {
+    LdpError::Malformed(format!("{op}: erased collector type mismatch"))
+}
+
+impl<A> ErasedCollector for Collector<A>
+where
+    A: FoAggregator + Send + 'static,
+    A::Report: WireReport,
+{
+    fn descriptor(&self) -> &ProtocolDescriptor {
+        &self.descriptor
+    }
+
+    fn ingest_concat(&mut self, stream: &[u8]) -> (usize, Result<()>) {
+        let expected = <A::Report as WireReport>::TAG;
+        let agg = &mut self.agg;
+        let mut scratch: Option<A::Report> = None;
         // Optimistic packed lane for bit-vector streams: buffer the raw
         // payload bytes of up to `PACKED_BATCH` frames and hand them to
         // the aggregator's counters in one batched call
@@ -1362,201 +1243,164 @@ where
         let mut packed = expected == tag::BITS;
         let mut pending: Vec<(&[u8], usize)> = Vec::new();
         let mut pending_full: Vec<&[u8]> = Vec::new();
-        while pos < stream.len() {
-            let frame = match next_frame(stream, &mut pos) {
-                Ok(f) => f,
-                Err(e) => {
-                    return flush_and_fail(
-                        slot,
-                        &mut scratch,
-                        &mut pending,
-                        &mut pending_full,
-                        n,
-                        e,
-                    )
+        let mut n = 0usize;
+        let mut pos = 0usize;
+        let res: Result<()> = (|| {
+            while pos < stream.len() {
+                let frame = next_frame(stream, &mut pos)?;
+                if frame.tag != expected {
+                    return Err(LdpError::ReportTypeMismatch {
+                        got: frame.tag,
+                        expected,
+                    });
                 }
-            };
-            if frame.tag != expected {
-                let e = LdpError::ReportTypeMismatch {
-                    got: frame.tag,
-                    expected,
-                };
-                return flush_and_fail(slot, &mut scratch, &mut pending, &mut pending_full, n, e);
-            }
-            if packed {
-                let mut r = WireReader::new(frame.payload);
-                let bits = match r.uvarint().and_then(|len| {
-                    usize::try_from(len).map_err(|_| {
-                        LdpError::Malformed(format!("bit length {len} overflows usize"))
-                    })
-                }) {
-                    Ok(bits) => bits,
-                    Err(e) => {
-                        return flush_and_fail(
-                            slot,
+                if packed {
+                    pending.push(packed_payload(frame.payload)?);
+                    pending_full.push(frame.payload);
+                    if pending.len() == crate::fo::PACKED_BATCH {
+                        let (applied, res) = flush_packed(
+                            agg,
                             &mut scratch,
                             &mut pending,
                             &mut pending_full,
-                            n,
-                            e,
-                        )
+                            &mut packed,
+                        );
+                        n += applied;
+                        res?;
                     }
-                };
-                let bytes = match r.bytes(bits.div_ceil(8)).and_then(|b| {
-                    r.finish()?;
-                    Ok(b)
-                }) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        return flush_and_fail(
-                            slot,
-                            &mut scratch,
-                            &mut pending,
-                            &mut pending_full,
-                            n,
-                            e,
-                        )
-                    }
-                };
-                pending.push((bytes, bits));
-                pending_full.push(frame.payload);
-                if pending.len() == crate::fo::PACKED_BATCH {
-                    let (applied, res) = flush_packed_pending(
-                        slot,
-                        &mut scratch,
-                        &mut pending,
-                        &mut pending_full,
-                        &mut packed,
-                    );
-                    n += applied;
-                    if let Err(e) = res {
-                        return (n, Err(e));
-                    }
+                    continue;
                 }
-                continue;
+                fold_payload(agg, &mut scratch, frame.payload)?;
+                n += 1;
             }
-            let mut r = WireReader::new(frame.payload);
-            let decoded = match scratch.as_mut() {
-                Some(s) => s.decode_payload_into(&mut r),
-                None => match <ReportOf<M>>::decode_payload(&mut r) {
-                    Ok(first) => {
-                        scratch = Some(first);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            if let Err(e) = decoded.and_then(|()| r.finish()) {
-                return (n, Err(e));
-            }
-            if let Err(e) = slot
-                .agg
-                .try_accumulate(scratch.as_ref().expect("decoded above"))
-            {
-                return (n, Err(e));
-            }
-            n += 1;
-        }
-        let (applied, res) = flush_packed_pending(
-            slot,
+            Ok(())
+        })();
+        // Buffered frames precede whatever stopped the stream: fold them
+        // in, and report their error first if one of them fails.
+        let (applied, flushed) = flush_packed(
+            agg,
             &mut scratch,
             &mut pending,
             &mut pending_full,
             &mut packed,
         );
-        n += applied;
-        if let Err(e) = res {
-            return (n, Err(e));
-        }
-        (n, Ok(()))
+        (n + applied, flushed.and(res))
+    }
+
+    fn reports(&self) -> usize {
+        self.agg.reports()
+    }
+
+    fn estimate(&self) -> Vec<f64> {
+        self.agg.estimate()
+    }
+
+    fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
+        self.agg.estimate_items(items)
+    }
+
+    fn merge(&mut self, other: Box<dyn ErasedCollector>) -> Result<()> {
+        self.check_descriptor(other.as_ref(), "merge")?;
+        let other = other
+            .into_any()
+            .downcast::<Self>()
+            .map_err(|_| type_mismatch("merge"))?;
+        self.agg.merge(other.agg);
+        Ok(())
+    }
+
+    fn subtract(&mut self, other: &dyn ErasedCollector) -> Result<()> {
+        let other = self.typed(other, "subtract")?;
+        self.agg.try_subtract(&other.agg)
+    }
+
+    fn weighted_estimate(&self, parts: &[(f64, &dyn ErasedCollector)]) -> Result<Vec<f64>> {
+        let typed = parts
+            .iter()
+            .map(|&(weight, part)| Ok((weight, &self.typed(part, "weighted estimate")?.agg)))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(A::weighted_estimate(&typed))
+    }
+
+    fn snapshot(&self, out: &mut Vec<u8>) {
+        crate::snapshot::snapshot_to(&self.agg, out);
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<()> {
+        crate::snapshot::restore_from(&mut self.agg, bytes)
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
     }
 }
 
-/// Drains the packed lane's buffered payloads into the aggregator — the
-/// batched counter fold when the aggregator supports it, the scratch
-/// decode otherwise (which also steers the rest of the stream off the
-/// packed lane via `packed`). Returns how many buffered frames were
-/// folded in and the first error hit, and always leaves both buffers
-/// empty.
-fn flush_packed_pending<M>(
-    slot: &mut BridgedAggregator<M>,
-    scratch: &mut Option<ReportOf<M>>,
+/// Splits a bit-vector payload (`uvarint` bit width + packed bytes)
+/// into its packed bytes and width, without copying them.
+fn packed_payload(payload: &[u8]) -> Result<(&[u8], usize)> {
+    let mut r = WireReader::new(payload);
+    let len = r.uvarint()?;
+    let bits = usize::try_from(len)
+        .map_err(|_| LdpError::Malformed(format!("bit length {len} overflows usize")))?;
+    let bytes = r.bytes(bits.div_ceil(8))?;
+    r.finish()?;
+    Ok((bytes, bits))
+}
+
+/// Decodes one payload into the reused scratch report (allocated by the
+/// first frame only) and folds it into `agg`.
+fn fold_payload<A>(agg: &mut A, scratch: &mut Option<A::Report>, payload: &[u8]) -> Result<()>
+where
+    A: FoAggregator,
+    A::Report: WireReport,
+{
+    let mut r = WireReader::new(payload);
+    match scratch.as_mut() {
+        Some(s) => s.decode_payload_into(&mut r)?,
+        None => *scratch = Some(A::Report::decode_payload(&mut r)?),
+    }
+    r.finish()?;
+    agg.try_accumulate(scratch.as_ref().expect("decoded above"))
+}
+
+/// Drains the packed lane's buffered payloads into `agg` — the batched
+/// counter fold when the aggregator supports it, the scratch decode
+/// otherwise (which also steers the rest of the stream off the packed
+/// lane via `packed`). Returns how many buffered frames were folded in
+/// and the first error hit, and always leaves both buffers empty.
+fn flush_packed<A>(
+    agg: &mut A,
+    scratch: &mut Option<A::Report>,
     pending: &mut Vec<(&[u8], usize)>,
     pending_full: &mut Vec<&[u8]>,
     packed: &mut bool,
 ) -> (usize, Result<()>)
 where
-    M: WireMechanism + Send + Sync + 'static,
-    M::Input: WireInput,
-    M::Aggregator: Send + 'static,
-    ReportOf<M>: WireReport,
+    A: FoAggregator,
+    A::Report: WireReport,
 {
     if pending.is_empty() {
         return (0, Ok(()));
     }
-    let out = match slot.agg.try_accumulate_packed_bits_batch(pending) {
-        Some(res) => res,
-        None => {
+    let out = agg
+        .try_accumulate_packed_bits_batch(pending)
+        .unwrap_or_else(|| {
             *packed = false;
             let mut applied = 0usize;
-            let mut res = Ok(());
-            for payload in pending_full.iter() {
-                let mut r = WireReader::new(payload);
-                let decoded = match scratch.as_mut() {
-                    Some(s) => s.decode_payload_into(&mut r),
-                    None => match <ReportOf<M>>::decode_payload(&mut r) {
-                        Ok(first) => {
-                            *scratch = Some(first);
-                            Ok(())
-                        }
-                        Err(e) => Err(e),
-                    },
-                };
-                if let Err(e) = decoded.and_then(|()| r.finish()) {
-                    res = Err(e);
-                    break;
-                }
-                if let Err(e) = slot
-                    .agg
-                    .try_accumulate(scratch.as_ref().expect("decoded above"))
-                {
-                    res = Err(e);
-                    break;
-                }
+            let res = pending_full.iter().try_for_each(|payload| {
+                fold_payload(agg, scratch, payload)?;
                 applied += 1;
-            }
+                Ok(())
+            });
             (applied, res)
-        }
-    };
+        });
     pending.clear();
     pending_full.clear();
     out
-}
-
-/// Error path of the packed lane: flush what is buffered (those frames
-/// precede the failing one), then report the earlier of the flush error
-/// and `err`.
-fn flush_and_fail<M>(
-    slot: &mut BridgedAggregator<M>,
-    scratch: &mut Option<ReportOf<M>>,
-    pending: &mut Vec<(&[u8], usize)>,
-    pending_full: &mut Vec<&[u8]>,
-    n: usize,
-    err: LdpError,
-) -> (usize, Result<()>)
-where
-    M: WireMechanism + Send + Sync + 'static,
-    M::Input: WireInput,
-    M::Aggregator: Send + 'static,
-    ReportOf<M>: WireReport,
-{
-    let mut packed = true;
-    let (applied, res) = flush_packed_pending(slot, scratch, pending, pending_full, &mut packed);
-    let n = n + applied;
-    match res {
-        Err(flush_err) => (n, Err(flush_err)),
-        Ok(()) => (n, Err(err)),
-    }
 }
 
 #[cfg(test)]
@@ -1728,42 +1572,48 @@ mod tests {
         assert!(out.is_empty(), "validation precedes any output");
     }
 
-    /// `accumulate_concat` folds the same state the per-frame loop
-    /// folds, and reports the partial count on a mid-stream error.
-    #[test]
-    fn accumulate_concat_matches_frame_loop_and_counts_partials() {
+    fn grr_mechanism() -> Box<dyn ErasedMechanism> {
         let oracle = DirectEncoding::new(16, Epsilon::new(1.0).unwrap()).unwrap();
         let desc = ProtocolDescriptor::builder(crate::protocol::MechanismKind::DirectEncoding)
             .domain_size(16)
             .epsilon(1.0)
             .build()
             .unwrap();
-        let bridge = ErasedBridge::new(OracleMechanism(oracle), desc);
+        erase(OracleMechanism(oracle), &desc)
+    }
 
+    /// One `ingest_concat` over a stream folds the same state as one
+    /// call per frame, and reports the partial count on a mid-stream
+    /// error.
+    #[test]
+    fn ingest_concat_matches_frame_loop_and_counts_partials() {
+        let mech = grr_mechanism();
         let values: Vec<u64> = (0..50).map(|i| i % 16).collect();
         let mut stream = Vec::new();
-        bridge
-            .randomize_items_to_frames(&values, 7, &mut stream)
+        mech.randomize_items_to_frames(&values, 7, &mut stream)
             .unwrap();
 
-        let mut fast = bridge.new_erased_aggregator();
-        let (n, res) = bridge.accumulate_concat(fast.as_mut(), &stream);
+        let mut fast = mech.new_collector();
+        let (n, res) = fast.ingest_concat(&stream);
         res.unwrap();
         assert_eq!(n, 50);
 
-        let mut slow = bridge.new_erased_aggregator();
+        let mut slow = mech.new_collector();
         let mut pos = 0usize;
         while pos < stream.len() {
-            let f = next_frame(&stream, &mut pos).unwrap();
-            bridge.accumulate_frame(slow.as_mut(), f).unwrap();
+            let start = pos;
+            next_frame(&stream, &mut pos).unwrap();
+            let (one, res) = slow.ingest_concat(&stream[start..pos]);
+            res.unwrap();
+            assert_eq!(one, 1);
         }
         assert_eq!(fast.estimate(), slow.estimate());
         assert_eq!(fast.reports(), slow.reports());
 
         // Truncate mid-frame: the count names the frames already folded.
         let cut = &stream[..stream.len() - 1];
-        let mut partial = bridge.new_erased_aggregator();
-        let (n, res) = bridge.accumulate_concat(partial.as_mut(), cut);
+        let mut partial = mech.new_collector();
+        let (n, res) = partial.ingest_concat(cut);
         assert!(res.is_err());
         assert_eq!(n, 49);
         assert_eq!(partial.reports(), 49);
@@ -1771,31 +1621,20 @@ mod tests {
 
     #[test]
     fn bridge_round_trips_one_report() {
-        let oracle = DirectEncoding::new(16, Epsilon::new(1.0).unwrap()).unwrap();
-        let desc = ProtocolDescriptor::builder(crate::protocol::MechanismKind::DirectEncoding)
-            .domain_size(16)
-            .epsilon(1.0)
-            .build()
-            .unwrap();
-        let bridge = ErasedBridge::new(OracleMechanism(oracle), desc);
-        let mut agg = bridge.new_erased_aggregator();
-
+        let mech = grr_mechanism();
+        let mut collector = mech.new_collector();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut input = Vec::new();
-        5u64.encode_input(&mut input);
         let mut frame = Vec::new();
-        bridge
-            .randomize_from_bytes(&input, &mut rng, &mut frame)
-            .unwrap();
-        bridge.accumulate_from_bytes(agg.as_mut(), &frame).unwrap();
-        assert_eq!(agg.reports(), 1);
+        mech.randomize_item(5, &mut rng, &mut frame).unwrap();
+        let (n, res) = collector.ingest_concat(&frame);
+        res.unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(collector.reports(), 1);
 
-        // Out-of-domain input is an error, not a panic.
-        let mut input = Vec::new();
-        16u64.encode_input(&mut input);
+        // Out-of-domain input is an error, not a panic, and writes
+        // nothing.
         let mut out = Vec::new();
-        assert!(bridge
-            .randomize_from_bytes(&input, &mut rng, &mut out)
-            .is_err());
+        assert!(mech.randomize_item(16, &mut rng, &mut out).is_err());
+        assert!(out.is_empty());
     }
 }

@@ -16,8 +16,8 @@ use crate::dbitflip::{DBitFlip, DBitReport};
 use crate::onebit::OneBitMean;
 use ldp_core::protocol::{MechanismKind, Registry};
 use ldp_core::wire::{
-    get_packed_bits, packed_bit, put_packed_bits, put_uvarint, tag, ErasedBridge, ErasedMechanism,
-    OracleMechanism, WireMechanism, WireReader, WireReport,
+    get_packed_bits, packed_bit, put_packed_bits, put_uvarint, tag, OracleMechanism, WireMechanism,
+    WireReader, WireReport,
 };
 use ldp_core::{LdpError, Result};
 use rand::RngCore;
@@ -93,19 +93,14 @@ impl WireMechanism for OneBitMean {
 /// [`MechanismKind::MicrosoftOneBitMean`]) into `registry`.
 pub fn register_mechanisms(registry: &mut Registry) {
     registry.register(MechanismKind::MicrosoftDBitFlip, |d| {
-        let mech = DBitFlip::new(
+        Ok(OracleMechanism(DBitFlip::new(
             d.domain_size() as u32,
             d.bits_per_device(),
             d.epsilon_checked(),
-        )?;
-        Ok(
-            Box::new(ErasedBridge::new(OracleMechanism(mech), d.clone()))
-                as Box<dyn ErasedMechanism>,
-        )
+        )?))
     });
     registry.register(MechanismKind::MicrosoftOneBitMean, |d| {
-        let mech = OneBitMean::new(d.epsilon_checked(), d.max_value())?;
-        Ok(Box::new(ErasedBridge::new(mech, d.clone())) as Box<dyn ErasedMechanism>)
+        OneBitMean::new(d.epsilon_checked(), d.max_value())
     });
 }
 

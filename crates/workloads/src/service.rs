@@ -1,7 +1,8 @@
 //! The collector service: the single entry point a deployment exposes.
 //!
-//! A [`CollectorService`] owns a [`ProtocolDescriptor`] and the matching
-//! type-erased aggregator, and ingests **serialized** report frames —
+//! A [`CollectorService`] holds one type-erased collector (a
+//! [`ProtocolDescriptor`] and the matching aggregator, owned together)
+//! and ingests **serialized** report frames —
 //! `&[u8]` in, estimates out, for any mechanism the backing
 //! [`Registry`] can instantiate. This is the client/server seam the
 //! deployed systems in the tutorial all share: a versioned protocol
@@ -60,7 +61,7 @@
 use ldp_core::protocol::{ProtocolDescriptor, Registry};
 use ldp_core::snapshot::{state_tag, SNAPSHOT_VERSION};
 use ldp_core::wire::{
-    put_u64_le, put_uvarint, uvarint_array, ErasedAggregator, ErasedMechanism, WireReader,
+    next_frame, put_u64_le, put_uvarint, ErasedCollector, ErasedMechanism, WireReader,
 };
 use ldp_core::{LdpError, Result};
 use rand::RngCore;
@@ -159,36 +160,31 @@ impl WireClient {
     /// frame to `out`.
     ///
     /// # Errors
-    /// [`LdpError`] for out-of-domain values or a mechanism that does
-    /// not take item inputs (1BitMean takes reals).
+    /// [`LdpError::InvalidParameter`] for out-of-domain values or a
+    /// mechanism that does not take item inputs (1BitMean takes reals);
+    /// `out` is untouched on error.
     pub fn randomize_item(
         &self,
         value: u64,
         rng: &mut dyn RngCore,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        // Items cross the input codec as varints; encode on the stack
-        // (`WireInput for u64` is the same LEB128 bytes).
-        let (buf, n) = uvarint_array(value);
-        self.mech.randomize_from_bytes(&buf[..n], rng, out)
+        self.mech.randomize_item(value, rng, out)
     }
 
     /// Randomizes one real-valued input (1BitMean) and appends its wire
     /// frame to `out`.
     ///
     /// # Errors
-    /// [`LdpError`] for out-of-range values or a mechanism that takes
-    /// item inputs.
+    /// [`LdpError::InvalidParameter`] for out-of-range values or a
+    /// mechanism that takes item inputs; `out` is untouched on error.
     pub fn randomize_real(
         &self,
         value: f64,
         rng: &mut dyn RngCore,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        // Reals cross the input codec as 8 little-endian IEEE-754 bytes
-        // (`WireInput for f64`) — a stack array, not a per-call `Vec`.
-        self.mech
-            .randomize_from_bytes(&value.to_le_bytes(), rng, out)
+        self.mech.randomize_real(value, rng, out)
     }
 
     /// Randomizes an item population into per-shard frame buffers,
@@ -296,13 +292,13 @@ impl WireClient {
     }
 }
 
-/// The server half: owns a descriptor plus the matching erased
-/// aggregator, ingests serialized report frames, merges across shards,
-/// and snapshots estimates. See the module docs for the guarantees.
+/// The server half: one erased collector owning the descriptor and the
+/// matching aggregator, which ingests serialized report frames, merges
+/// across shards, and snapshots estimates. See the module docs for the
+/// guarantees.
 #[derive(Debug)]
 pub struct CollectorService {
-    mech: Box<dyn ErasedMechanism>,
-    agg: Box<dyn ErasedAggregator>,
+    collector: Box<dyn ErasedCollector>,
 }
 
 impl CollectorService {
@@ -322,32 +318,42 @@ impl CollectorService {
     /// # Errors
     /// Whatever [`Registry::build`] surfaces.
     pub fn with_registry(registry: &Registry, descriptor: &ProtocolDescriptor) -> Result<Self> {
-        let mech = registry.build(descriptor)?;
-        let agg = mech.new_erased_aggregator();
-        Ok(Self { mech, agg })
+        Ok(Self {
+            collector: registry.build(descriptor)?.new_collector(),
+        })
     }
 
     /// The descriptor this service aggregates for.
     pub fn descriptor(&self) -> &ProtocolDescriptor {
-        self.mech.descriptor()
+        self.collector.descriptor()
     }
 
-    /// Ingests exactly one report frame.
+    /// Ingests exactly one report frame: the header and length are
+    /// checked here, then the frame rides the same lane as a one-frame
+    /// [`ingest_concat`](Self::ingest_concat).
     ///
     /// # Errors
     /// Any [`LdpError`] for bytes that are not one well-formed,
     /// current-version frame of this mechanism's report type; the
     /// aggregate state is unchanged on error.
     pub fn ingest(&mut self, frame: &[u8]) -> Result<()> {
-        self.mech.accumulate_from_bytes(self.agg.as_mut(), frame)
+        let mut end = 0usize;
+        next_frame(frame, &mut end)?;
+        if end != frame.len() {
+            return Err(LdpError::Malformed(format!(
+                "{} trailing bytes after frame",
+                frame.len() - end
+            )));
+        }
+        self.collector.ingest_concat(frame).1
     }
 
     /// Ingests a buffer of back-to-back frames (the batched transport
     /// shape: one network payload carrying many reports), returning how
-    /// many frames were folded in. Rides the mechanism's
-    /// [`ErasedMechanism::accumulate_concat`] fast path: one aggregator
-    /// downcast per stream and one reused scratch report, instead of
-    /// per-frame dispatch.
+    /// many frames were folded in, through
+    /// [`ErasedCollector::ingest_concat`]: one dynamic call per stream
+    /// and one reused scratch report (or the packed bit-vector lane),
+    /// instead of per-frame dispatch.
     ///
     /// # Errors
     /// Stops at the first bad frame; the [`IngestError`] carries both
@@ -355,7 +361,7 @@ impl CollectorService {
     /// ingested** (exactly the reports the error-position prefix
     /// carried).
     pub fn ingest_concat(&mut self, stream: &[u8]) -> std::result::Result<usize, IngestError> {
-        let (ingested, res) = self.mech.accumulate_concat(self.agg.as_mut(), stream);
+        let (ingested, res) = self.collector.ingest_concat(stream);
         match res {
             Ok(()) => Ok(ingested),
             Err(source) => Err(IngestError { ingested, source }),
@@ -368,16 +374,11 @@ impl CollectorService {
     /// # Errors
     /// [`LdpError::Malformed`] if the two services were built from
     /// different descriptors (mechanism, parameters, or version) — the
-    /// descriptor is the compatibility contract.
+    /// descriptor is the compatibility contract — or from registries
+    /// that map the descriptor's kind to different mechanisms. The
+    /// aggregate is unchanged on error.
     pub fn merge(&mut self, other: CollectorService) -> Result<()> {
-        if self.descriptor() != other.descriptor() {
-            return Err(LdpError::Malformed(format!(
-                "merge: descriptor mismatch ({} vs {})",
-                self.descriptor().kind().name(),
-                other.descriptor().kind().name()
-            )));
-        }
-        self.agg.merge_erased(other.agg)
+        self.collector.merge(other.collector)
     }
 
     /// Retires another service's aggregate from this one — the exact
@@ -388,25 +389,18 @@ impl CollectorService {
     /// window ring falls back to rebuilding its total from live deltas).
     ///
     /// # Errors
-    /// [`LdpError::Malformed`] on descriptor mismatch;
+    /// [`LdpError::Malformed`] as for [`merge`](Self::merge);
     /// [`LdpError::NotSubtractive`] when the mechanism's state has no
     /// exact merge inverse (SHE); [`LdpError::StateMismatch`] when
     /// `other` is not a sub-aggregate of this state. The aggregate is
     /// unchanged on every error.
     pub fn subtract(&mut self, other: &CollectorService) -> Result<()> {
-        if self.descriptor() != other.descriptor() {
-            return Err(LdpError::Malformed(format!(
-                "subtract: descriptor mismatch ({} vs {})",
-                self.descriptor().kind().name(),
-                other.descriptor().kind().name()
-            )));
-        }
-        self.agg.subtract_erased(other.agg.as_ref())
+        self.collector.subtract(other.collector.as_ref())
     }
 
     /// Number of reports ingested so far.
     pub fn reports(&self) -> usize {
-        self.agg.reports()
+        self.collector.reports()
     }
 
     /// Snapshot of the unbiased estimates over the mechanism's output
@@ -414,7 +408,7 @@ impl CollectorService {
     /// 1BitMean).
     #[must_use]
     pub fn estimates(&self) -> Vec<f64> {
-        self.agg.estimate()
+        self.collector.estimate()
     }
 
     /// Snapshot of estimates for a candidate subset.
@@ -429,7 +423,7 @@ impl CollectorService {
                 "item {bad} outside domain of size {d}"
             )));
         }
-        Ok(self.agg.estimate_items(items))
+        Ok(self.collector.estimate_items(items))
     }
 
     /// Weighted sum of other services' estimates, `Σ_i w_i ·
@@ -442,24 +436,14 @@ impl CollectorService {
     /// An empty `parts` yields an empty vector.
     ///
     /// # Errors
-    /// [`LdpError::Malformed`] if a part was built from a different
-    /// descriptor.
+    /// [`LdpError::Malformed`] if a part fails the checks of
+    /// [`merge`](Self::merge).
     pub fn weighted_estimates(&self, parts: &[(f64, &CollectorService)]) -> Result<Vec<f64>> {
-        if let Some((_, other)) = parts
+        let erased: Vec<(f64, &dyn ErasedCollector)> = parts
             .iter()
-            .find(|(_, part)| part.descriptor() != self.descriptor())
-        {
-            return Err(LdpError::Malformed(format!(
-                "weighted estimates: descriptor mismatch ({} vs {})",
-                self.descriptor().kind().name(),
-                other.descriptor().kind().name()
-            )));
-        }
-        let erased: Vec<(f64, &dyn ErasedAggregator)> = parts
-            .iter()
-            .map(|&(weight, part)| (weight, part.agg.as_ref()))
+            .map(|&(weight, part)| (weight, part.collector.as_ref()))
             .collect();
-        self.agg.weighted_estimate(&erased)
+        self.collector.weighted_estimate(&erased)
     }
 
     /// Serializes the full service state into one self-describing
@@ -483,7 +467,7 @@ impl CollectorService {
         put_uvarint(&mut payload, desc.len() as u64);
         payload.extend_from_slice(&desc);
         put_u64_le(&mut payload, self.descriptor().stable_hash());
-        self.agg.snapshot(&mut payload);
+        self.collector.snapshot(&mut payload);
         let mut out = Vec::with_capacity(payload.len() + 12);
         out.push(SNAPSHOT_VERSION);
         out.push(state_tag::SERVICE_CHECKPOINT);
@@ -509,7 +493,7 @@ impl CollectorService {
                 desc.kind().name()
             )));
         }
-        self.agg.restore(blob)
+        self.collector.restore(blob)
     }
 
     /// Reconstructs a service — descriptor and aggregate — from a
@@ -530,7 +514,7 @@ impl CollectorService {
     pub fn from_checkpoint_with_registry(registry: &Registry, bytes: &[u8]) -> Result<Self> {
         let (desc, blob) = parse_checkpoint(bytes)?;
         let mut service = Self::with_registry(registry, &desc)?;
-        service.agg.restore(blob)?;
+        service.collector.restore(blob)?;
         Ok(service)
     }
 }
@@ -666,8 +650,9 @@ impl MergeTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::fo::DirectEncoding;
     use ldp_core::protocol::MechanismKind;
-    use ldp_core::wire::WIRE_VERSION;
+    use ldp_core::wire::{OracleMechanism, WIRE_VERSION};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -697,44 +682,107 @@ mod tests {
 
     #[test]
     fn malformed_frames_error_and_leave_state_intact() {
-        let desc = olhc_descriptor(32);
-        let client = WireClient::from_descriptor(&desc).unwrap();
-        let mut service = CollectorService::from_descriptor(&desc).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut frame = Vec::new();
-        client.randomize_item(5, &mut rng, &mut frame).unwrap();
-
-        // Truncations of a valid frame.
-        for cut in 0..frame.len() {
-            assert!(service.ingest(&frame[..cut]).is_err(), "cut {cut}");
-        }
-        // Wrong version byte.
-        let mut bad = frame.clone();
-        bad[0] = WIRE_VERSION + 1;
-        assert!(matches!(
-            service.ingest(&bad),
-            Err(LdpError::VersionMismatch { .. })
-        ));
-        // Wrong report type (a GRR frame fed to an OLH-C service).
+        let oue = ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)
+            .domain_size(32)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        let mean = ProtocolDescriptor::builder(MechanismKind::MicrosoftOneBitMean)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        // A GRR frame, foreign to every kind below.
         let grr = ProtocolDescriptor::builder(MechanismKind::DirectEncoding)
             .domain_size(32)
             .epsilon(1.0)
             .build()
             .unwrap();
-        let grr_client = WireClient::from_descriptor(&grr).unwrap();
+        let mut rng = StdRng::seed_from_u64(2);
         let mut foreign = Vec::new();
-        grr_client
+        WireClient::from_descriptor(&grr)
+            .unwrap()
             .randomize_item(5, &mut rng, &mut foreign)
             .unwrap();
-        assert!(matches!(
-            service.ingest(&foreign),
-            Err(LdpError::ReportTypeMismatch { .. })
-        ));
-        // Nothing was ingested by any failed call.
-        assert_eq!(service.reports(), 0);
-        // The original frame still works.
-        service.ingest(&frame).unwrap();
-        assert_eq!(service.reports(), 1);
+        // OUE frames ride the packed bit-vector lane; OLH-C and 1BitMean
+        // the scratch-report decode.
+        for desc in [olhc_descriptor(32), oue, mean] {
+            let kind = desc.kind().name();
+            let client = WireClient::from_descriptor(&desc).unwrap();
+            let mut service = CollectorService::from_descriptor(&desc).unwrap();
+            let mut frame = Vec::new();
+            if desc.kind() == MechanismKind::MicrosoftOneBitMean {
+                client.randomize_real(0.5, &mut rng, &mut frame).unwrap();
+            } else {
+                client.randomize_item(5, &mut rng, &mut frame).unwrap();
+            }
+
+            // Truncations of a valid frame.
+            for cut in 0..frame.len() {
+                assert!(service.ingest(&frame[..cut]).is_err(), "{kind} cut {cut}");
+            }
+            // A trailing byte after a valid frame.
+            let mut long = frame.clone();
+            long.push(0);
+            assert!(
+                matches!(service.ingest(&long), Err(LdpError::Malformed(_))),
+                "{kind}"
+            );
+            // Wrong version byte.
+            let mut bad = frame.clone();
+            bad[0] = WIRE_VERSION + 1;
+            assert!(
+                matches!(service.ingest(&bad), Err(LdpError::VersionMismatch { .. })),
+                "{kind}"
+            );
+            // Wrong report type.
+            assert!(
+                matches!(
+                    service.ingest(&foreign),
+                    Err(LdpError::ReportTypeMismatch { .. })
+                ),
+                "{kind}"
+            );
+            // Nothing was ingested by any failed call.
+            assert_eq!(service.reports(), 0, "{kind}");
+            // The original frame still works.
+            service.ingest(&frame).unwrap();
+            assert_eq!(service.reports(), 1, "{kind}");
+        }
+    }
+
+    /// Inputs reach the mechanism typed: an item handed to a real-input
+    /// mechanism, or a real to an item mechanism, is refused rather than
+    /// read as the other type's bytes: the item's varint bytes are the
+    /// little-endian bits of the real 0.01196, and the real's bits are
+    /// the 8-byte varint of the item 2^49.
+    #[test]
+    fn wrong_typed_inputs_are_refused_not_reinterpreted() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mean = ProtocolDescriptor::builder(MechanismKind::MicrosoftOneBitMean)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        let mut out = Vec::new();
+        let res = WireClient::from_descriptor(&mean).unwrap().randomize_item(
+            35_501_031_437_631_488,
+            &mut rng,
+            &mut out,
+        );
+        assert!(matches!(res, Err(LdpError::InvalidParameter(_))), "{res:?}");
+        assert!(out.is_empty());
+
+        let grr = ProtocolDescriptor::builder(MechanismKind::DirectEncoding)
+            .domain_size(1 << 60)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        let res = WireClient::from_descriptor(&grr).unwrap().randomize_real(
+            1.925_084_954_245_855e-301,
+            &mut rng,
+            &mut out,
+        );
+        assert!(matches!(res, Err(LdpError::InvalidParameter(_))), "{res:?}");
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -795,15 +843,14 @@ mod tests {
             .unwrap();
         let so = CollectorService::from_descriptor(&oue).unwrap();
 
-        // Another descriptor, at the service: a typed error, no panic.
+        // Another descriptor: a typed error, no panic.
         assert!(matches!(
             sa.weighted_estimates(&[(1.0, &sa), (0.5, &sb)]),
             Err(LdpError::Malformed(_))
         ));
-        // Another concrete aggregator type, at the erased layer.
         for (own, foreign) in [(&sa, &so), (&so, &sa)] {
             assert!(matches!(
-                own.agg.weighted_estimate(&[(1.0, foreign.agg.as_ref())]),
+                own.weighted_estimates(&[(1.0, foreign)]),
                 Err(LdpError::Malformed(_))
             ));
         }
@@ -811,8 +858,53 @@ mod tests {
         // default path alike.
         for s in [&sa, &so] {
             assert_eq!(s.weighted_estimates(&[]).unwrap(), Vec::<f64>::new());
-            assert_eq!(s.agg.weighted_estimate(&[]).unwrap(), Vec::<f64>::new());
         }
+    }
+
+    /// Two registries may map one kind to different typed mechanisms.
+    /// Their services carry equal descriptors but different aggregator
+    /// types, and every call that combines two of them refuses with a
+    /// typed error and leaves both states as they were.
+    #[test]
+    fn other_mechanism_under_an_equal_descriptor_is_refused() {
+        let desc = olhc_descriptor(32);
+        let core = workspace_registry();
+        let mut other = Registry::core();
+        other.register(MechanismKind::CohortLocalHashing, |d| {
+            Ok(OracleMechanism(DirectEncoding::new(
+                d.domain_size(),
+                d.epsilon_checked(),
+            )?))
+        });
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut filled = |registry: &Registry| {
+            let client = WireClient::with_registry(registry, &desc).unwrap();
+            let mut service = CollectorService::with_registry(registry, &desc).unwrap();
+            let mut wire = Vec::new();
+            for v in 0..20u64 {
+                client.randomize_item(v, &mut rng, &mut wire).unwrap();
+            }
+            assert_eq!(service.ingest_concat(&wire).unwrap(), 20);
+            service
+        };
+        let mut own = filled(&core);
+        let mut foreign = filled(&other);
+        let (own_merge, foreign_merge) = (filled(&other), filled(&core));
+        assert_eq!(own.descriptor(), foreign.descriptor());
+
+        let refused = |res: Result<()>| matches!(res, Err(LdpError::Malformed(_)));
+        assert!(refused(own.subtract(&foreign)));
+        assert!(refused(foreign.subtract(&own)));
+        assert!(refused(
+            own.weighted_estimates(&[(1.0, &foreign)]).map(drop)
+        ));
+        assert!(refused(
+            foreign.weighted_estimates(&[(1.0, &own)]).map(drop)
+        ));
+        assert!(refused(own.merge(own_merge)));
+        assert!(refused(foreign.merge(foreign_merge)));
+        assert_eq!(own.reports(), 20);
+        assert_eq!(foreign.reports(), 20);
     }
 
     #[test]
